@@ -33,6 +33,13 @@ double JsonValue::as_double() const {
   return static_cast<double>(std::get<std::uint64_t>(v_));
 }
 
+bool is_count(const JsonValue& v) {
+  if (v.is_uint()) return true;
+  if (v.is_int()) return v.as_int() >= 0;
+  const double x = v.is_double() ? v.as_double() : -1.0;
+  return x >= 0.0 && x < 18446744073709551616.0 && std::floor(x) == x;
+}
+
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (!is_object()) return nullptr;
   for (const auto& [k, v] : as_object()) {

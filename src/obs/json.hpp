@@ -88,6 +88,10 @@ inline JsonValue json_object(JsonObject members) {
   return JsonValue(std::move(members));
 }
 
+/// True when `v` reads exactly through as_uint(): an unsigned or
+/// non-negative integer, or an integral double in [0, 2^64).
+bool is_count(const JsonValue& v);
+
 /// Escapes and quotes a string per RFC 8259.
 std::string json_escape(const std::string& s);
 

@@ -1,13 +1,11 @@
 #include "obs/report.hpp"
 
-#include <array>
 #include <cmath>
 #include <fstream>
-#include <map>
-#include <optional>
+#include <utility>
 
+#include "obs/catalog.hpp"
 #include "sim/config.hpp"
-#include "wire/frame.hpp"
 
 namespace baps::obs {
 
@@ -190,7 +188,8 @@ bool ReportBuilder::write(const std::string& path, std::string* error) const {
 }
 
 // --------------------------------------------------------------------------
-// Validation.
+// Validation. Every field is type-checked before it is read, so a malformed
+// report is rejected with a message naming the field instead of throwing.
 
 namespace {
 
@@ -199,15 +198,19 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
-bool check_ratio(const JsonValue& v, const std::string& where,
+bool check_ratio(const JsonValue* v, const std::string& where,
                  std::string* error) {
-  if (!v.is_object()) return fail(error, where + ": not an object");
-  const JsonValue* count = v.find("count");
-  const JsonValue* total = v.find("total");
-  const JsonValue* ratio = v.find("ratio");
-  if (!count || !total || !ratio || !count->is_number() ||
-      !total->is_number() || !ratio->is_number()) {
-    return fail(error, where + ": needs numeric count/total/ratio");
+  if (v == nullptr || !v->is_object()) {
+    return fail(error, where + ": not an object");
+  }
+  const JsonValue* count = v->find("count");
+  const JsonValue* total = v->find("total");
+  const JsonValue* ratio = v->find("ratio");
+  if (!count || !total || !ratio || !is_count(*count) || !is_count(*total) ||
+      !ratio->is_number()) {
+    return fail(error, where +
+                           ": needs non-negative integer count/total and a "
+                           "numeric ratio");
   }
   if (count->as_uint() > total->as_uint()) {
     return fail(error, where + ": count exceeds total");
@@ -226,8 +229,8 @@ bool check_ratio(const JsonValue& v, const std::string& where,
 bool check_metrics(const JsonValue& m, const std::string& where,
                    std::string* error) {
   if (!m.is_object()) return fail(error, where + ": metrics not an object");
-  if (!check_ratio(m.at("hits"), where + ".hits", error)) return false;
-  if (!check_ratio(m.at("byte_hits"), where + ".byte_hits", error)) {
+  if (!check_ratio(m.find("hits"), where + ".hits", error)) return false;
+  if (!check_ratio(m.find("byte_hits"), where + ".byte_hits", error)) {
     return false;
   }
   const JsonValue* loc = m.find("locations");
@@ -235,11 +238,19 @@ bool check_metrics(const JsonValue& m, const std::string& where,
     return fail(error, where + ": missing locations");
   }
   // The four locations partition the requests.
-  const std::uint64_t sum = loc->at("local_browser").at("hits").as_uint() +
-                            loc->at("proxy").at("hits").as_uint() +
-                            loc->at("remote_browser").at("hits").as_uint() +
-                            loc->at("miss").at("count").as_uint();
-  if (sum != m.at("hits").at("total").as_uint()) {
+  std::uint64_t sum = 0;
+  for (const auto& [name, field] :
+       {std::pair{"local_browser", "hits"}, std::pair{"proxy", "hits"},
+        std::pair{"remote_browser", "hits"}, std::pair{"miss", "count"}}) {
+    const JsonValue* entry = loc->find(name);
+    const JsonValue* n = entry != nullptr ? entry->find(field) : nullptr;
+    if (n == nullptr || !is_count(*n)) {
+      return fail(error, where + ".locations." + name + "." + field +
+                             ": needs a non-negative integer");
+    }
+    sum += n->as_uint();
+  }
+  if (sum != m.find("hits")->find("total")->as_uint()) {
     return fail(error, where + ": location counts do not sum to total");
   }
   return true;
@@ -261,24 +272,29 @@ bool validate_report(const JsonValue& report, std::string* error) {
   }
   if (const JsonValue* phases = report.find("phases")) {
     if (!phases->is_array()) return fail(error, "phases: not an array");
-    for (const auto& p : phases->as_array()) {
+    for (std::size_t i = 0; i < phases->as_array().size(); ++i) {
+      const JsonValue& p = phases->as_array()[i];
       if (!p.is_object() || !p.find("name") || !p.find("seconds") ||
           !p.find("count")) {
         return fail(error, "phases: entry needs name/seconds/count");
       }
-      if (p.at("seconds").as_double() < 0.0) {
-        return fail(error, "phases: negative wall time");
+      const std::string where = "phases[" + std::to_string(i) + "].seconds";
+      if (!p.find("seconds")->is_number()) {
+        return fail(error, where + ": not a number");
+      }
+      if (p.find("seconds")->as_double() < 0.0) {
+        return fail(error, where + ": negative wall time");
       }
     }
   }
   if (const JsonValue* sweep = report.find("sweep")) {
     if (!sweep->is_array()) return fail(error, "sweep: not an array");
     for (const auto& point : sweep->as_array()) {
-      if (!point.is_object() || !point.find("relative_cache_size") ||
-          !point.find("orgs") || !point.at("orgs").is_array()) {
+      const JsonValue* orgs = point.find("orgs");
+      if (!point.find("relative_cache_size") || !orgs || !orgs->is_array()) {
         return fail(error, "sweep: point needs relative_cache_size + orgs");
       }
-      for (const auto& entry : point.at("orgs").as_array()) {
+      for (const auto& entry : orgs->as_array()) {
         const JsonValue* org = entry.find("org");
         const JsonValue* metrics = entry.find("metrics");
         if (!org || !org->is_string() || !metrics) {
@@ -309,568 +325,8 @@ bool validate_report(const JsonValue& report, std::string* error) {
       }
     }
   }
-  if (!validate_transport_metrics(report, error)) return false;
-  if (!validate_replay_metrics(report, error)) return false;
-  if (!validate_fault_metrics(report, error)) return false;
-  if (!validate_trace_metrics(report, error)) return false;
-  if (!validate_latency_metrics(report, error)) return false;
-  if (!validate_store_metrics(report, error)) return false;
-  if (!validate_shard_metrics(report, error)) return false;
-  if (!validate_netio_metrics(report, error)) return false;
   if (const JsonValue* registry = report.find("registry")) {
-    if (!registry->is_object() || !registry->find("counters") ||
-        !registry->find("gauges") || !registry->find("histograms")) {
-      return fail(error,
-                  "registry: needs counters/gauges/histograms arrays");
-    }
-    for (const char* section : {"counters", "gauges", "histograms"}) {
-      const JsonValue& arr = registry->at(section);
-      if (!arr.is_array()) {
-        return fail(error, std::string("registry.") + section +
-                               ": not an array");
-      }
-      for (const auto& inst : arr.as_array()) {
-        if (!inst.is_object() || !inst.find("name")) {
-          return fail(error, std::string("registry.") + section +
-                                 ": instrument needs a name");
-        }
-      }
-    }
-  }
-  return true;
-}
-
-namespace {
-
-bool is_transport_counter(const std::string& name) {
-  // store_* rides along: the durable tier's counters are cumulative across
-  // restarts by design, so successive snapshots must be monotone too.
-  return name.rfind("wire_", 0) == 0 || name.rfind("netio_", 0) == 0 ||
-         name.rfind("store_", 0) == 0;
-}
-
-/// Stable identity of one counter instance: name plus labels in their
-/// serialized order (snapshots emit labels sorted, so this matches across
-/// reports from the same process).
-std::string instance_key(const std::string& name, const JsonValue* labels) {
-  std::string key = name;
-  if (labels != nullptr && labels->is_object()) {
-    for (const auto& [k, v] : labels->as_object()) {
-      key += '|';
-      key += k;
-      key += '=';
-      key += v.is_string() ? v.as_string() : v.dump();
-    }
-  }
-  return key;
-}
-
-/// Collects the wire_*/netio_* counters of a report into key → value.
-/// Returns false on structurally broken entries (missing name/value).
-bool collect_transport_counters(const JsonValue& report,
-                                std::map<std::string, double>* out,
-                                std::string* error) {
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* counters = registry->find("counters");
-  if (counters == nullptr || !counters->is_array()) return true;
-  for (const auto& inst : counters->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string() ||
-        !is_transport_counter(name->as_string())) {
-      continue;
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number()) {
-      return fail(error, name->as_string() + ": counter needs a numeric value");
-    }
-    if (value->as_double() < 0.0) {
-      return fail(error, name->as_string() + ": counter is negative");
-    }
-    (*out)[instance_key(name->as_string(), inst.find("labels"))] =
-        value->as_double();
-  }
-  return true;
-}
-
-}  // namespace
-
-bool validate_transport_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  std::map<std::string, double> counters;
-  if (!collect_transport_counters(report, &counters, error)) return false;
-
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("counters");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  std::map<std::string, double> frames_by_dir, bytes_by_dir;
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    if (n != "wire_frames_total" && n != "wire_bytes_total") continue;
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* dir =
-        labels != nullptr ? labels->find("dir") : nullptr;
-    if (dir == nullptr || !dir->is_string() ||
-        (dir->as_string() != "tx" && dir->as_string() != "rx")) {
-      return fail(error, n + ": dir label must be tx or rx");
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number()) {
-      return fail(error, n + ": counter needs a numeric value");
-    }
-    auto& sums = n == "wire_frames_total" ? frames_by_dir : bytes_by_dir;
-    sums[dir->as_string()] += value->as_double();
-  }
-  for (const auto& [dir, frames] : frames_by_dir) {
-    if (frames == 0.0) continue;
-    const auto it = bytes_by_dir.find(dir);
-    const double bytes = it == bytes_by_dir.end() ? 0.0 : it->second;
-    if (bytes < frames * static_cast<double>(wire::kHeaderSize)) {
-      return fail(error, "wire_bytes_total{dir=" + dir +
-                             "}: fewer bytes than headers for " +
-                             "wire_frames_total frames");
-    }
-  }
-  return true;
-}
-
-bool validate_replay_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("gauges");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string() ||
-        name->as_string() != "replay_requests_per_second") {
-      continue;
-    }
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* org = labels != nullptr ? labels->find("org") : nullptr;
-    if (org == nullptr || !org->is_string() || org->as_string().empty()) {
-      return fail(error,
-                  "replay_requests_per_second: needs a non-empty org label");
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() ||
-        !std::isfinite(value->as_double()) || value->as_double() <= 0.0) {
-      return fail(error, "replay_requests_per_second{org=" + org->as_string() +
-                             "}: value must be finite and positive");
-    }
-  }
-  return true;
-}
-
-bool validate_fault_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("counters");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  // Per fault kind: injected and recovered totals, summed across instances.
-  std::map<std::string, double> injected, recovered;
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    const bool is_injected = n == "fault_injected_total";
-    const bool is_recovered = n == "fault_recovered_total";
-    if (!is_injected && !is_recovered && n != "stale_index_hits_total") {
-      continue;
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number()) {
-      return fail(error, n + ": counter needs a numeric value");
-    }
-    if (value->as_double() < 0.0) {
-      return fail(error, n + ": counter is negative");
-    }
-    if (!is_injected && !is_recovered) continue;  // stale_index_hits_total
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* kind =
-        labels != nullptr ? labels->find("kind") : nullptr;
-    if (kind == nullptr || !kind->is_string() || kind->as_string().empty()) {
-      return fail(error, n + ": needs a non-empty kind label");
-    }
-    auto& sums = is_injected ? injected : recovered;
-    sums[kind->as_string()] += value->as_double();
-  }
-  // A fault can only be recovered after it was injected, so per kind
-  // recovered <= injected (injecting is counted even when recovery fails).
-  for (const auto& [kind, rec] : recovered) {
-    const auto it = injected.find(kind);
-    const double inj = it == injected.end() ? 0.0 : it->second;
-    if (rec > inj) {
-      return fail(error, "fault_recovered_total{kind=" + kind +
-                             "}: exceeds fault_injected_total");
-    }
-  }
-  return true;
-}
-
-bool validate_trace_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string() != "trace_spans_total") {
-        continue;
-      }
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* kind =
-          labels != nullptr ? labels->find("kind") : nullptr;
-      if (kind == nullptr || !kind->is_string() || kind->as_string().empty()) {
-        return fail(error, "trace_spans_total: needs a non-empty kind label");
-      }
-      const JsonValue* value = inst.find("value");
-      if (value == nullptr || !value->is_number() ||
-          value->as_double() < 0.0) {
-        return fail(error, "trace_spans_total{kind=" + kind->as_string() +
-                               "}: value must be a non-negative number");
-      }
-    }
-  }
-  if (const JsonValue* hists = registry->find("histograms");
-      hists != nullptr && hists->is_array()) {
-    for (const auto& inst : hists->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string() != "trace_stage_seconds") {
-        continue;
-      }
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* stage =
-          labels != nullptr ? labels->find("stage") : nullptr;
-      if (stage == nullptr || !stage->is_string() ||
-          stage->as_string().empty()) {
-        return fail(error,
-                    "trace_stage_seconds: needs a non-empty stage label");
-      }
-      const JsonValue* count = inst.find("count");
-      if (count == nullptr || !count->is_number() ||
-          count->as_double() < 0.0) {
-        return fail(error, "trace_stage_seconds{stage=" + stage->as_string() +
-                               "}: count must be a non-negative number");
-      }
-    }
-  }
-  return true;
-}
-
-bool validate_latency_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("gauges");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  // q label order for the monotonicity check.
-  const auto q_rank = [](const std::string& q) -> int {
-    if (q == "p50") return 0;
-    if (q == "p95") return 1;
-    if (q == "p99") return 2;
-    if (q == "p999") return 3;
-    return -1;
-  };
-  // scope key ("stage=..."/"org=...") -> quantiles seen, indexed by rank.
-  std::map<std::string, std::array<std::optional<double>, 4>> scopes;
-
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    const bool is_stage = n == "latency_quantile_seconds";
-    const bool is_replay = n == "replay_latency_quantile_seconds";
-    if (!is_stage && !is_replay) continue;
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* q = labels != nullptr ? labels->find("q") : nullptr;
-    if (q == nullptr || !q->is_string() || q_rank(q->as_string()) < 0) {
-      return fail(error, n + ": q label must be one of p50/p95/p99/p999");
-    }
-    const char* scope_label = is_stage ? "stage" : "org";
-    const JsonValue* scope =
-        labels != nullptr ? labels->find(scope_label) : nullptr;
-    if (scope == nullptr || !scope->is_string() ||
-        scope->as_string().empty()) {
-      return fail(error, n + ": needs a non-empty " +
-                             std::string(scope_label) + " label");
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() ||
-        !std::isfinite(value->as_double()) || value->as_double() < 0.0) {
-      return fail(error, n + "{" + scope_label + "=" + scope->as_string() +
-                             ",q=" + q->as_string() +
-                             "}: value must be finite and non-negative");
-    }
-    scopes[n + "{" + scope_label + "=" + scope->as_string() + "}"]
-          [static_cast<std::size_t>(q_rank(q->as_string()))] =
-        value->as_double();
-  }
-  // Quantiles of one distribution cannot decrease as q grows.
-  for (const auto& [scope, qs] : scopes) {
-    double prev = -1.0;
-    for (const auto& v : qs) {
-      if (!v.has_value()) continue;
-      if (*v < prev) {
-        return fail(error, scope + ": quantiles not monotone in q");
-      }
-      prev = *v;
-    }
-  }
-  return true;
-}
-
-bool validate_store_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-
-  double probes = 0.0, hits = 0.0, misses = 0.0;
-  bool have_probe_family = false;
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      const std::string& n = name->as_string();
-      if (n.rfind("store_", 0) != 0) continue;
-      const JsonValue* value = inst.find("value");
-      if (value == nullptr || !value->is_number()) {
-        return fail(error, n + ": counter needs a numeric value");
-      }
-      if (value->as_double() < 0.0) {
-        return fail(error, n + ": counter is negative");
-      }
-      if (n == "store_bytes_total") {
-        const JsonValue* labels = inst.find("labels");
-        const JsonValue* dir =
-            labels != nullptr ? labels->find("dir") : nullptr;
-        if (dir == nullptr || !dir->is_string() ||
-            (dir->as_string() != "read" && dir->as_string() != "written")) {
-          return fail(error,
-                      "store_bytes_total: dir label must be read or written");
-        }
-      }
-      if (n == "store_probes_total") {
-        probes += value->as_double();
-        have_probe_family = true;
-      } else if (n == "store_hits_total") {
-        hits += value->as_double();
-        have_probe_family = true;
-      } else if (n == "store_misses_total") {
-        misses += value->as_double();
-        have_probe_family = true;
-      }
-    }
-  }
-  // Every disk probe resolves to exactly one of hit or miss (a quarantined
-  // corrupt record counts as a miss — nothing was served).
-  if (have_probe_family && hits + misses != probes) {
-    return fail(error,
-                "store_hits_total + store_misses_total != store_probes_total");
-  }
-
-  if (const JsonValue* hists = registry->find("histograms");
-      hists != nullptr && hists->is_array()) {
-    for (const auto& inst : hists->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string() != "store_stage_seconds") {
-        continue;
-      }
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* op = labels != nullptr ? labels->find("op") : nullptr;
-      if (op == nullptr || !op->is_string() || op->as_string().empty()) {
-        return fail(error, "store_stage_seconds: needs a non-empty op label");
-      }
-      const JsonValue* count = inst.find("count");
-      if (count == nullptr || !count->is_number() ||
-          count->as_double() < 0.0) {
-        return fail(error, "store_stage_seconds{op=" + op->as_string() +
-                               "}: count must be a non-negative number");
-      }
-    }
-  }
-  return true;
-}
-
-bool validate_shard_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* counters = registry->find("counters");
-  if (counters == nullptr || !counters->is_array()) return true;
-
-  // Per organization: sum of shard_requests_total{org,shard=*} on one side,
-  // shard_merged_requests_total{org} on the other. Counts are cumulative
-  // across sharded runs, but every run adds the same total to both sides,
-  // so the invariant must hold on any snapshot.
-  std::map<std::string, double> shard_sums, merged_totals;
-  for (const auto& inst : counters->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    const bool is_shard = n == "shard_requests_total";
-    const bool is_merged = n == "shard_merged_requests_total";
-    if (!is_shard && !is_merged) continue;
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() ||
-        value->as_double() < 0.0) {
-      return fail(error, n + ": counter needs a non-negative numeric value");
-    }
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* org = labels != nullptr ? labels->find("org") : nullptr;
-    if (org == nullptr || !org->is_string() || org->as_string().empty()) {
-      // The eagerly registered family members carry no labels and stay at
-      // zero; any instance holding real counts must name its organization.
-      if (value->as_double() != 0.0) {
-        return fail(error, n + ": non-zero instance needs an org label");
-      }
-      continue;
-    }
-    if (is_shard) {
-      const JsonValue* shard = labels->find("shard");
-      if (shard == nullptr || !shard->is_string() ||
-          shard->as_string().empty()) {
-        return fail(error, "shard_requests_total{org=" + org->as_string() +
-                               "}: needs a non-empty shard label");
-      }
-      shard_sums[org->as_string()] += value->as_double();
-    } else {
-      merged_totals[org->as_string()] += value->as_double();
-    }
-  }
-  for (const auto& [org, sum] : shard_sums) {
-    const auto it = merged_totals.find(org);
-    if (it == merged_totals.end()) {
-      return fail(error, "shard_requests_total{org=" + org +
-                             "}: missing shard_merged_requests_total");
-    }
-    if (sum != it->second) {
-      return fail(error, "shard_requests_total{org=" + org +
-                             "}: shard counters sum to " +
-                             std::to_string(sum) +
-                             " but shard_merged_requests_total is " +
-                             std::to_string(it->second));
-    }
-  }
-  for (const auto& [org, total] : merged_totals) {
-    if (total != 0.0 && shard_sums.find(org) == shard_sums.end()) {
-      return fail(error, "shard_merged_requests_total{org=" + org +
-                             "}: no per-shard counters to account for it");
-    }
-  }
-  return true;
-}
-
-bool validate_netio_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-
-  // Counters: every netio_* instance must be a non-negative number.
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      const std::string& n = name->as_string();
-      if (n.rfind("netio_", 0) != 0 && n.rfind("connload_", 0) != 0) {
-        continue;
-      }
-      const JsonValue* value = inst.find("value");
-      if (value == nullptr || !value->is_number() ||
-          value->as_double() < 0.0) {
-        return fail(error, n + ": counter needs a non-negative numeric value");
-      }
-    }
-  }
-
-  const JsonValue* gauges = registry->find("gauges");
-  if (gauges == nullptr || !gauges->is_array()) return true;
-  std::map<std::string, double> quantiles;
-  double peak = -1.0;
-  double established = -1.0;
-  for (const auto& inst : gauges->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    if (n.rfind("netio_", 0) != 0 && n.rfind("connload_", 0) != 0) continue;
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() || value->as_double() < 0.0) {
-      return fail(error, n + ": gauge needs a non-negative numeric value");
-    }
-    if (n == "connload_roundtrip_quantile_seconds") {
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* q = labels != nullptr ? labels->find("q") : nullptr;
-      if (q == nullptr || !q->is_string() ||
-          (q->as_string() != "p50" && q->as_string() != "p99" &&
-           q->as_string() != "p999")) {
-        return fail(error, "connload_roundtrip_quantile_seconds: needs a q "
-                           "label of p50, p99, or p999");
-      }
-      quantiles[q->as_string()] = value->as_double();
-    } else if (n == "connload_connections_peak") {
-      peak = value->as_double();
-    }
-  }
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      const JsonValue* value = inst.find("value");
-      if (name != nullptr && name->is_string() && value != nullptr &&
-          value->is_number() &&
-          name->as_string() == "connload_established_total") {
-        established = value->as_double();
-      }
-    }
-  }
-  if (!quantiles.empty()) {
-    // The bench always emits all three together; a lone quantile means the
-    // report was stitched by hand or the bench died mid-emit.
-    for (const char* q : {"p50", "p99", "p999"}) {
-      if (quantiles.count(q) == 0) {
-        return fail(error, std::string("connload_roundtrip_quantile_seconds"
-                                       ": missing q=") + q);
-      }
-    }
-    if (quantiles["p50"] > quantiles["p99"] ||
-        quantiles["p99"] > quantiles["p999"]) {
-      return fail(error, "connload_roundtrip_quantile_seconds: quantiles "
-                         "must be monotone (p50 <= p99 <= p999)");
-    }
-  }
-  // Peak concurrency can never exceed the number of connections that ever
-  // completed a connect.
-  if (peak >= 0.0 && established >= 0.0 && peak > established) {
-    return fail(error, "connload_connections_peak exceeds "
-                       "connload_established_total");
+    return check_registry(*registry, error);
   }
   return true;
 }
@@ -879,19 +335,10 @@ bool validate_transport_monotonicity(const JsonValue& earlier,
                                      const JsonValue& later,
                                      std::string* error) {
   if (error) error->clear();
-  std::map<std::string, double> before, after;
-  if (!collect_transport_counters(earlier, &before, error)) return false;
-  if (!collect_transport_counters(later, &after, error)) return false;
-  for (const auto& [key, value] : before) {
-    const auto it = after.find(key);
-    if (it == after.end()) continue;
-    if (it->second < value) {
-      return fail(error, key + ": counter went backwards (" +
-                             std::to_string(value) + " -> " +
-                             std::to_string(it->second) + ")");
-    }
-  }
-  return true;
+  const JsonValue* before = earlier.find("registry");
+  const JsonValue* after = later.find("registry");
+  if (before == nullptr || after == nullptr) return true;
+  return check_monotone(*before, *after, error);
 }
 
 }  // namespace baps::obs

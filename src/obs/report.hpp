@@ -75,92 +75,15 @@ class ReportBuilder {
 };
 
 /// Structural validation of a parsed report against baps.report.v1: schema
-/// id, section shapes, and internal consistency of every metrics object
-/// (counts sum to totals, ratios match their counters). Returns true when
-/// valid; otherwise fills *error with the first violation.
+/// id, section shapes, internal consistency of every metrics object (counts
+/// sum to totals, ratios match their counters), and the registry section
+/// against the metric catalog (obs/catalog.hpp). Returns true when valid;
+/// otherwise fills *error with the first violation.
 bool validate_report(const JsonValue& report, std::string* error = nullptr);
 
-/// Family checks for the transport counters in a report's registry section:
-/// every `wire_frames_total` / `wire_bytes_total` instance must carry a
-/// `dir` label of "tx" or "rx", every counter value must be a non-negative
-/// number, and per direction the byte total must be at least the frame
-/// header size times the frame total (a frame can never cost fewer bytes
-/// than its header). Reports without a registry or without wire counters
-/// pass trivially.
-bool validate_transport_metrics(const JsonValue& report,
-                                std::string* error = nullptr);
-
-/// Family check for the replay-throughput gauges bench_replay publishes:
-/// every `replay_requests_per_second` gauge in the registry section must
-/// carry a non-empty `org` label and a finite, strictly positive value.
-/// Reports without a registry or without replay gauges pass trivially.
-bool validate_replay_metrics(const JsonValue& report,
-                             std::string* error = nullptr);
-
-/// Family checks for the fault-injection counters: every
-/// `fault_injected_total` / `fault_recovered_total` instance must carry a
-/// non-empty `kind` label and a non-negative numeric value, per kind the
-/// recovered total must not exceed the injected total, and
-/// `stale_index_hits_total` must be non-negative. Reports without a registry
-/// or without fault counters pass trivially.
-bool validate_fault_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for the tracing counters/histograms: every
-/// `trace_spans_total` instance must carry a non-empty `kind` label and a
-/// non-negative value, and every `trace_stage_seconds` histogram must carry
-/// a non-empty `stage` label with a non-negative observation count. Reports
-/// without a registry or without trace instruments pass trivially.
-bool validate_trace_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for derived latency gauges (`latency_quantile_seconds`,
-/// `replay_latency_quantile_seconds`): each instance must carry a `q` label
-/// in {p50, p95, p99, p999} plus a family-specific scope label (`stage` for
-/// latency_quantile_seconds, `org` for the replay family), every value must
-/// be finite and non-negative, and within one scope the quantiles must be
-/// monotone non-decreasing in q (p50 <= p95 <= p99 <= p999 where present).
-/// Reports without a registry or without latency gauges pass trivially.
-bool validate_latency_metrics(const JsonValue& report,
-                              std::string* error = nullptr);
-
-/// Family checks for the durable-store instruments: every `store_*` counter
-/// must be a non-negative number, `store_bytes_total` must carry a `dir`
-/// label of "read" or "written", every `store_stage_seconds` histogram must
-/// carry a non-empty `op` label with a non-negative count, and summed across
-/// instances `store_hits_total + store_misses_total` must equal
-/// `store_probes_total` (every disk probe resolves to exactly one of the
-/// two). Reports without a registry or without store instruments pass
-/// trivially.
-bool validate_store_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for the sharded-replay counters: every labeled
-/// `shard_requests_total` instance needs non-empty `org` and `shard`
-/// labels, every labeled `shard_merged_requests_total` a non-empty `org`,
-/// all values non-negative, and per organization the shard counters must
-/// sum EXACTLY to the merged total — the counter half of the sharded
-/// engine's merge contract (sim/sharded_replay.hpp). Unlabeled zero-valued
-/// instances (eager family registration) pass; reports without a registry
-/// or without shard counters pass trivially.
-bool validate_shard_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for the event-loop and connection-load instruments: every
-/// `netio_*` / `connload_*` counter and gauge must be a non-negative number,
-/// every `connload_roundtrip_quantile_seconds` instance needs a `q` label of
-/// p50/p99/p999 with all three present together and monotone non-decreasing
-/// in q, and `connload_connections_peak` can never exceed
-/// `connload_established_total`. Reports without a registry or without these
-/// instruments pass trivially.
-bool validate_netio_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Checks that every `wire_*` / `netio_*` / `store_*` counter present in
-/// both reports (matched by name + labels) is monotone non-decreasing from
-/// `earlier` to `later` — the cross-file invariant for successive snapshots
-/// of one process (store counters are cumulative across warm restarts by
-/// design).
+/// Checks that every counter the metric catalog marks monotone, present in
+/// both reports (matched by name + labels), did not decrease from `earlier`
+/// to `later`: the invariant for successive snapshots of one process.
 bool validate_transport_monotonicity(const JsonValue& earlier,
                                      const JsonValue& later,
                                      std::string* error = nullptr);

@@ -329,8 +329,8 @@ bool validate_timeseries_lines(const std::vector<JsonValue>& lines,
                                  kTimeSeriesSchema);
     }
     const JsonValue* seq = rec.find("seq");
-    if (seq == nullptr || !seq->is_number()) {
-      return vfail(error, i, "missing numeric seq");
+    if (seq == nullptr || !is_count(*seq)) {
+      return vfail(error, i, "seq must be a non-negative integer");
     }
     const std::uint64_t s = seq->as_uint();
     if (i == 0) {
@@ -366,10 +366,12 @@ bool validate_timeseries_lines(const std::vector<JsonValue>& lines,
       const JsonValue* value = c.find("value");
       const JsonValue* delta = c.find("delta");
       const JsonValue* rate = c.find("per_second");
-      if (value == nullptr || !value->is_number() || delta == nullptr ||
-          !delta->is_number() || !finite_number(rate)) {
-        return vfail(error, i, "counter " + c.at("name").as_string() +
-                                   " missing value/delta/per_second");
+      if (value == nullptr || !is_count(*value) || delta == nullptr ||
+          !is_count(*delta) || !finite_number(rate)) {
+        return vfail(error, i,
+                     "counter " + c.at("name").as_string() +
+                         " needs integer value/delta >= 0 and a finite "
+                         "per_second");
       }
       const std::uint64_t v = value->as_uint();
       const std::uint64_t d = delta->as_uint();
@@ -424,10 +426,12 @@ bool validate_timeseries_lines(const std::vector<JsonValue>& lines,
       const std::string name = h.at("name").as_string();
       const JsonValue* count = h.find("count");
       const JsonValue* count_delta = h.find("count_delta");
-      if (count == nullptr || !count->is_number() || count_delta == nullptr ||
-          !count_delta->is_number() || !finite_number(h.find("sum_delta"))) {
+      if (count == nullptr || !is_count(*count) || count_delta == nullptr ||
+          !is_count(*count_delta) || !finite_number(h.find("sum_delta"))) {
         return vfail(error, i,
-                     "histogram " + name + " missing count/delta fields");
+                     "histogram " + name +
+                         " needs integer count/count_delta >= 0 and a finite "
+                         "sum_delta");
       }
       const std::uint64_t cnt = count->as_uint();
       const std::uint64_t d = count_delta->as_uint();

@@ -101,6 +101,12 @@ void run_slice(bool event_driven, const trace::Trace& t,
 
   TcpTransport::Params tp;
   tp.proxy_port = server.port();
+  // The holders' peer listeners drop a connection after read_ms idle. With
+  // the 5 s default, whether the proxy's pooled peer connection is still
+  // open at its next reuse depended on CPU load, and a stale one costs a
+  // redial plus a resent PeerFetch frame on one run but not the other.
+  // Outlasting the slice keeps the pool's behaviour the same on both runs.
+  tp.deadlines.read_ms = 60000;
   TcpTransport transport(tp);
   BapsSystem::Params sp;
   sp.num_clients = kClients;

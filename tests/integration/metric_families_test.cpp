@@ -7,14 +7,24 @@
 // these are presence assertions, not value assertions.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
+#include "../store/store_test_util.hpp"
+#include "core/runner.hpp"
 #include "fault/fault_plan.hpp"
 #include "netio/netio_metrics.hpp"
+#include "obs/catalog.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/span.hpp"
+#include "runtime/proxy_server.hpp"
+#include "runtime/system.hpp"
+#include "runtime/tcp_transport.hpp"
 #include "sim/sharded_replay.hpp"
 #include "store/tiered_store.hpp"
+#include "trace/presets.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baps {
 namespace {
@@ -127,6 +137,93 @@ TEST(MetricFamiliesTest, EagerRegistrationIsIdempotent) {
     if (c.name == "store_probes_total") ++store_probes;
   }
   EXPECT_EQ(store_probes, 1u);
+}
+
+/// Catalog rows missing for the snapshot's families: "kind name" for each
+/// family without a row of its own (a namespace rule does not count).
+std::set<std::string> families_without_a_row(const obs::Snapshot& snap) {
+  std::set<std::string> missing;
+  const auto check = [&](obs::MetricKind kind, const char* what,
+                         const std::string& name) {
+    if (obs::find_metric_family(kind, name) == nullptr) {
+      missing.insert(std::string(what) + " " + name);
+    }
+  };
+  for (const auto& c : snap.counters) {
+    check(obs::MetricKind::kCounter, "counter", c.name);
+  }
+  for (const auto& g : snap.gauges) {
+    check(obs::MetricKind::kGauge, "gauge", g.name);
+  }
+  for (const auto& h : snap.histograms) {
+    check(obs::MetricKind::kHistogram, "histogram", h.name);
+  }
+  return missing;
+}
+
+// Every family a real run registers has a metric-catalog row, so
+// report_check states a rule (or deliberately none) for each. The run
+// touches every registering layer: eager registration, a sweep, a faulted
+// TCP run against an epoll proxy with a durable store, and a sharded replay.
+TEST(MetricFamiliesTest, EveryRegisteredFamilyHasACatalogRow) {
+  store::register_store_metric_families();
+  fault::register_fault_metric_families();
+  obs::register_trace_metric_families();
+  sim::register_shard_metric_families();
+  netio::register_netio_metric_families();
+
+  const trace::Trace t =
+      trace::load_preset_scaled(trace::Preset::kBu95, 0.02);
+  ThreadPool pool(2);
+  core::sweep_cache_sizes(t, {0.10}, {core::OrgKind::kBrowsersAware},
+                          core::RunSpec{}, &pool);
+
+  {
+    const store_test::TempDir dir("baps-catalog");
+    runtime::ProxyServer::Params pp;
+    pp.core.num_clients = 4;
+    pp.core.proxy_cache_bytes = 16 << 10;
+    pp.core.store.dir = dir.str();
+    pp.net.accept_poll_ms = 10;
+    pp.event_driven = true;
+    runtime::ProxyServer server(pp);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    runtime::TcpTransport::Params tp;
+    tp.proxy_port = server.port();
+    runtime::TcpTransport transport(tp);
+    runtime::BapsSystem::Params sp;
+    sp.num_clients = 4;
+    sp.proxy_cache_bytes = 16 << 10;
+    fault::FaultRates rates;
+    rates.of(fault::FaultKind::kCorruptFrame) = 0.2;
+    fault::FaultPlan plan(3, rates);
+    runtime::BapsSystem system(sp, transport);
+    system.attach_fault_plan(&plan);
+    std::size_t done = 0;
+    for (const trace::Request& req : t.requests()) {
+      if (done++ == 200) break;
+      system.browse(static_cast<runtime::ClientId>(req.client % 4),
+                    t.url_of(req.doc));
+    }
+    server.stop();
+  }
+
+  sim::ShardedReplayOptions opts;
+  opts.shards = 2;
+  sim::run_organization_sharded(
+      sim::OrgKind::kBrowsersAware,
+      core::build_config(trace::compute_stats(t), core::RunSpec{}), t, opts);
+
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  for (const std::string& family : families_without_a_row(snap)) {
+    ADD_FAILURE() << "no metric catalog row for " << family;
+  }
+  // The catalog's rules and relations hold on the real snapshot.
+  const obs::JsonValue report =
+      obs::ReportBuilder("metric_families_test").set_registry(snap).build();
+  std::string error;
+  EXPECT_TRUE(obs::validate_report(report, &error)) << error;
 }
 
 }  // namespace

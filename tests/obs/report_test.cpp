@@ -155,6 +155,40 @@ TEST(ValidateTest, RejectsCorruptedReports) {
   EXPECT_NE(error.find("ratio"), std::string::npos) << error;
 }
 
+// Malformed fields of the wrong type or sign must be rejected with an error
+// naming the field, never thrown out of the validator.
+TEST(ValidateTest, RejectsMalformedFieldsWithoutThrowing) {
+  PhaseTimers phases;
+  phases.add("sweep", 0.25);
+  const JsonValue good = ReportBuilder("report_test")
+                             .add_phases(phases)
+                             .add_sweep(shared_sweep())
+                             .build();
+  const auto first_metrics = [](JsonValue& report) -> JsonValue& {
+    return *report.find("sweep")->as_array()[0].find("orgs")->as_array()[0]
+                .find("metrics");
+  };
+  std::string error;
+
+  JsonValue no_local = good;
+  std::erase_if(first_metrics(no_local).find("locations")->as_object(),
+                [](const auto& kv) { return kv.first == "local_browser"; });
+  EXPECT_FALSE(validate_report(no_local, &error));
+  EXPECT_NE(error.find("locations.local_browser"), std::string::npos)
+      << error;
+
+  JsonValue text_seconds = good;
+  *text_seconds.find("phases")->as_array()[0].find("seconds") =
+      JsonValue("fast");
+  EXPECT_FALSE(validate_report(text_seconds, &error));
+  EXPECT_NE(error.find("phases[0].seconds"), std::string::npos) << error;
+
+  JsonValue negative_count = good;
+  *first_metrics(negative_count).find("hits")->find("count") = JsonValue(-1);
+  EXPECT_FALSE(validate_report(negative_count, &error));
+  EXPECT_NE(error.find(".hits"), std::string::npos) << error;
+}
+
 JsonValue counter_json(const std::string& name, JsonObject labels,
                        double value) {
   return json_object({{"name", JsonValue(name)},
@@ -186,7 +220,6 @@ TEST(TransportMetricsTest, AcceptsConsistentWireCounters) {
       counter_json("netio_timeouts_total", {{"op", "read"}}, 1),
   });
   std::string error;
-  EXPECT_TRUE(validate_transport_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
@@ -196,9 +229,8 @@ TEST(TransportMetricsTest, RejectsBadDirLabel) {
                    1),
   });
   std::string error;
-  EXPECT_FALSE(validate_transport_metrics(report, &error));
-  EXPECT_NE(error.find("dir label"), std::string::npos) << error;
   EXPECT_FALSE(validate_report(report, &error));
+  EXPECT_NE(error.find("dir label"), std::string::npos) << error;
 }
 
 TEST(TransportMetricsTest, RejectsFrameBytesBelowTheHeaderFloor) {
@@ -209,7 +241,7 @@ TEST(TransportMetricsTest, RejectsFrameBytesBelowTheHeaderFloor) {
       counter_json("wire_bytes_total", {{"dir", "tx"}}, 100),
   });
   std::string error;
-  EXPECT_FALSE(validate_transport_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("fewer bytes"), std::string::npos) << error;
 }
 
@@ -218,7 +250,7 @@ TEST(TransportMetricsTest, RejectsNegativeTransportCounters) {
       counter_json("netio_retries_total", {{"op", "fetch"}}, -1),
   });
   std::string error;
-  EXPECT_FALSE(validate_transport_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("negative"), std::string::npos) << error;
 }
 
@@ -270,7 +302,7 @@ TEST(TransportMetricsTest, ReportsWithoutWireCountersPassTrivially) {
                                .add_sweep(shared_sweep())
                                .build();
   std::string error;
-  EXPECT_TRUE(validate_transport_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
   EXPECT_TRUE(
       validate_transport_monotonicity(report, report, &error))
       << error;
@@ -297,7 +329,6 @@ TEST(ReplayMetricsTest, AcceptsLabeledPositiveGauges) {
       counter_json("some_other_gauge", {}, 0.0),  // not the family: ignored
   });
   std::string error;
-  EXPECT_TRUE(validate_replay_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
@@ -306,9 +337,8 @@ TEST(ReplayMetricsTest, RejectsMissingOrgLabel) {
       counter_json("replay_requests_per_second", {}, 1.0e6),
   });
   std::string error;
-  EXPECT_FALSE(validate_replay_metrics(report, &error));
-  EXPECT_NE(error.find("org label"), std::string::npos) << error;
   EXPECT_FALSE(validate_report(report, &error));
+  EXPECT_NE(error.find("org label"), std::string::npos) << error;
 }
 
 TEST(ReplayMetricsTest, RejectsNonPositiveThroughput) {
@@ -317,7 +347,7 @@ TEST(ReplayMetricsTest, RejectsNonPositiveThroughput) {
                    0.0),
   });
   std::string error;
-  EXPECT_FALSE(validate_replay_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("finite and positive"), std::string::npos) << error;
 }
 
@@ -325,7 +355,7 @@ TEST(ReplayMetricsTest, ReportsWithoutReplayGaugesPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_replay_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(FaultMetricsTest, AcceptsKindLabeledFaultCounters) {
@@ -336,7 +366,6 @@ TEST(FaultMetricsTest, AcceptsKindLabeledFaultCounters) {
       counter_json("stale_index_hits_total", {}, 2),
   });
   std::string error;
-  EXPECT_TRUE(validate_fault_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
@@ -346,9 +375,8 @@ TEST(FaultMetricsTest, RejectsRecoveredExceedingInjected) {
       counter_json("fault_recovered_total", {{"kind", "corrupt_frame"}}, 3),
   });
   std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
-  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
   EXPECT_FALSE(validate_report(report, &error));
+  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
 }
 
 TEST(FaultMetricsTest, RejectsRecoveredForAKindNeverInjected) {
@@ -356,7 +384,7 @@ TEST(FaultMetricsTest, RejectsRecoveredForAKindNeverInjected) {
       counter_json("fault_recovered_total", {{"kind", "slow_peer"}}, 1),
   });
   std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
 }
 
@@ -365,7 +393,7 @@ TEST(FaultMetricsTest, RejectsMissingKindLabel) {
       counter_json("fault_injected_total", {}, 1),
   });
   std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("kind label"), std::string::npos) << error;
 }
 
@@ -374,7 +402,7 @@ TEST(FaultMetricsTest, RejectsNegativeStaleIndexHits) {
       counter_json("stale_index_hits_total", {}, -1),
   });
   std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("negative"), std::string::npos) << error;
 }
 
@@ -382,7 +410,7 @@ TEST(FaultMetricsTest, ReportsWithoutFaultCountersPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_fault_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 JsonValue store_stage_json(const std::string& op, double count) {
@@ -424,7 +452,6 @@ TEST(StoreMetricsTest, AcceptsConsistentStoreFamily) {
           store_stage_json("promote", 7),
       });
   std::string error;
-  EXPECT_TRUE(validate_store_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
@@ -437,9 +464,8 @@ TEST(StoreMetricsTest, RejectsProbesNotSplittingIntoHitsAndMisses) {
       },
       {});
   std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
-  EXPECT_NE(error.find("store_probes_total"), std::string::npos) << error;
   EXPECT_FALSE(validate_report(report, &error));
+  EXPECT_NE(error.find("store_probes_total"), std::string::npos) << error;
 }
 
 TEST(StoreMetricsTest, RejectsBytesWithoutReadOrWrittenDir) {
@@ -449,7 +475,7 @@ TEST(StoreMetricsTest, RejectsBytesWithoutReadOrWrittenDir) {
       },
       {});
   std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("read or written"), std::string::npos) << error;
 }
 
@@ -460,7 +486,7 @@ TEST(StoreMetricsTest, RejectsNegativeStoreCounter) {
       },
       {});
   std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("negative"), std::string::npos) << error;
 }
 
@@ -468,7 +494,7 @@ TEST(StoreMetricsTest, RejectsStageHistogramWithoutOpLabel) {
   const JsonValue report =
       report_with_store_registry({}, {store_stage_json("", 3)});
   std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("op label"), std::string::npos) << error;
 }
 
@@ -488,7 +514,7 @@ TEST(StoreMetricsTest, ReportsWithoutStoreInstrumentsPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_store_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 JsonValue gauge_json(const std::string& name, JsonObject labels,
@@ -530,7 +556,6 @@ TEST(NetioMetricsTest, AcceptsConsistentConnloadFamily) {
                      0.058),
       });
   std::string error;
-  EXPECT_TRUE(validate_netio_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
@@ -546,7 +571,7 @@ TEST(NetioMetricsTest, RejectsNonMonotoneQuantiles) {
                      0.058),
       });
   std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("monotone"), std::string::npos) << error;
 }
 
@@ -558,7 +583,7 @@ TEST(NetioMetricsTest, RejectsALoneQuantileInstance) {
                      0.016),
       });
   std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("missing q="), std::string::npos) << error;
 }
 
@@ -570,7 +595,7 @@ TEST(NetioMetricsTest, RejectsBadQuantileLabel) {
                      0.016),
       });
   std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
 }
 
 TEST(NetioMetricsTest, RejectsPeakAboveEstablished) {
@@ -582,7 +607,7 @@ TEST(NetioMetricsTest, RejectsPeakAboveEstablished) {
           gauge_json("connload_connections_peak", {}, 101),
       });
   std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
   EXPECT_NE(error.find("peak"), std::string::npos) << error;
 }
 
@@ -593,14 +618,14 @@ TEST(NetioMetricsTest, RejectsNegativeNetioGauge) {
           gauge_json("netio_connections_active", {}, -1),
       });
   std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  EXPECT_FALSE(validate_report(report, &error));
 }
 
 TEST(NetioMetricsTest, ReportsWithoutNetioInstrumentsPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_netio_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 }  // namespace

@@ -225,6 +225,14 @@ TEST(TimeseriesValidatorTest, RejectsEmptyAndBadFirstSeq) {
   EXPECT_NE(error.find("seq 0"), std::string::npos);
 }
 
+TEST(TimeseriesValidatorTest, RejectsNegativeSeqWithoutThrowing) {
+  JsonValue rec = timeseries_record(Snapshot{}, Snapshot{}, 0.0, 1.0, 0);
+  *rec.find("seq") = JsonValue(-1);
+  std::string error;
+  EXPECT_FALSE(validate_timeseries_lines({rec}, &error));
+  EXPECT_NE(error.find("seq"), std::string::npos) << error;
+}
+
 TEST(TimeseriesValidatorTest, RejectsDeltaInconsistentWithPreviousRecord) {
   Snapshot a, b, c;
   a.counters.push_back({"a_total", {}, 10});

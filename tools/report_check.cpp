@@ -1,28 +1,13 @@
 // report_check — validates baps.report.v1 JSON reports.
 //
-// Parses each file, checks the schema structurally, recomputes every derived
-// ratio from its exact integer counters, and validates the transport metric
-// families (wire_*/netio_* counters: dir labels, bytes-vs-frames
-// consistency) plus the fault-injection families (fault_injected_total /
-// fault_recovered_total need a kind label, non-negative values, and per-kind
-// recovered <= injected; stale_index_hits_total must be non-negative), the
-// tracing families (trace_spans_total needs a kind label,
-// trace_stage_seconds a stage label), and the derived latency gauges
-// (latency_quantile_seconds / replay_latency_quantile_seconds need a
-// q label in {p50,p95,p99,p999} plus a stage/org scope label, finite
-// non-negative values, and per-scope monotone quantiles), and the durable
-// store family (store_* counters non-negative, store_bytes_total carries a
-// read/written dir label, store_stage_seconds carries an op label, and
-// store_hits_total + store_misses_total == store_probes_total), and the
-// sharded-replay family (per organization, shard_requests_total{org,shard}
-// summed over shards must equal shard_merged_requests_total{org} exactly —
-// the counter half of the sharded engine's merge contract).
-// Given several files, they are treated as successive
-// snapshots of one process and every shared wire_*/netio_*/store_* counter
-// must be monotone non-decreasing in argument order. Exit 0 when valid, 1
-// when not
-// (with the first violation on stderr). Used by scripts/check.sh to gate
-// the bench artifacts.
+// Parses each file and runs obs::validate_report: schema shape, every
+// derived ratio recomputed from its exact integer counters, and the registry
+// section against the metric catalog (src/obs/catalog.cpp), which states
+// each metric family's labels, value rule and cross-family relations. Given
+// several files, they are treated as successive snapshots of one process and
+// every counter the catalog marks monotone must not decrease in argument
+// order. Exit 0 when valid, 1 when not (with the first violation on stderr).
+// Used by scripts/check.sh to gate the bench artifacts.
 //
 // --timeseries FILE validates a baps.timeseries.v1 JSONL export instead
 // (per-line schema plus the cross-record delta/rate/quantile invariants);
