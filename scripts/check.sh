@@ -23,8 +23,13 @@ REPORT="$BUILD_DIR/check_fig2_report.json"
 
 # Loopback daemon smoke test: a real baps_proxyd on an ephemeral port, a
 # 200-request trace slice over TCP and the same slice in-process — the
-# per-request outcome streams must be byte-identical.
+# per-request outcome streams must be byte-identical. Then bench_connload
+# must hold 2000 concurrent connections through the same daemon with valid
+# quantile gauges in its report. 2000 keeps the smoke inside default fd
+# limits; the 10k headline run is the same commands with --connections
+# 10000 (see README).
 PROXYD_LOG="$BUILD_DIR/check_proxyd.log"
+CONNLOAD_REPORT="$BUILD_DIR/check_connload_report.json"
 "$BUILD_DIR/tools/baps_proxyd" --port 0 --clients 8 --seed 11 \
   --max-seconds 120 > "$PROXYD_LOG" 2>&1 &
 PROXYD_PID=$!
@@ -43,10 +48,13 @@ done
   --clients 8 --seed 11 --preset bu95 --requests 200 \
   --sources-out "$BUILD_DIR/check_loop_sources.txt" > /dev/null 2>&1
 diff "$BUILD_DIR/check_tcp_sources.txt" "$BUILD_DIR/check_loop_sources.txt"
+"$BUILD_DIR/bench/bench_connload" --port "$PROXY_PORT" --connections 2000 \
+  --min-peak 2000 --metrics-out "$CONNLOAD_REPORT" > /dev/null
 kill "$PROXYD_PID" 2>/dev/null || true
 wait "$PROXYD_PID" 2>/dev/null || true
 trap - EXIT
-echo "check.sh: tcp/loopback sources identical (200 requests)"
+"$BUILD_DIR/tools/report_check" "$CONNLOAD_REPORT"
+echo "check.sh: tcp/loopback sources identical (200 requests); 2000-conn load validated"
 
 # Tracing smoke: run the same daemon with sampling at 1.0 on both sides, then
 # assert the two span logs stitch — shared trace ids whose parent links all
@@ -169,37 +177,6 @@ wait "$PROXYD_PID" 2>/dev/null || true
 trap - EXIT
 "$BUILD_DIR/tools/report_check" --timeseries "$TS_OUT"
 echo "check.sh: live baps_top frame rendered, time-series stream validated"
-
-# Event-loop smoke: an --event-driven daemon must serve the same 200-request
-# slice with byte-identical per-request outcomes (the epoll differential at
-# shell level), and bench_connload must hold 2000 concurrent connections
-# through it with valid quantile gauges in its report. 2000 keeps the smoke
-# inside default fd limits; the 10k headline run is the same commands with
-# --connections 10000 (see README).
-EPOLL_LOG="$BUILD_DIR/check_epoll_proxyd.log"
-CONNLOAD_REPORT="$BUILD_DIR/check_connload_report.json"
-"$BUILD_DIR/tools/baps_proxyd" --port 0 --clients 8 --seed 11 \
-  --event-driven --max-seconds 120 > "$EPOLL_LOG" 2>&1 &
-PROXYD_PID=$!
-trap 'kill "$PROXYD_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 50); do
-  PROXY_PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$EPOLL_LOG")
-  [ -n "$PROXY_PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PROXY_PORT" ] || { echo "epoll proxyd never came up"; cat "$EPOLL_LOG"; exit 1; }
-"$BUILD_DIR/tools/baps_fetch" --transport tcp --port "$PROXY_PORT" \
-  --clients 8 --seed 11 --preset bu95 --requests 200 \
-  --sources-out "$BUILD_DIR/check_epoll_sources.txt" > /dev/null 2>&1
-diff "$BUILD_DIR/check_epoll_sources.txt" "$BUILD_DIR/check_loop_sources.txt"
-"$BUILD_DIR/bench/bench_connload" --port "$PROXY_PORT" --connections 2000 \
-  --min-peak 2000 --metrics-out "$CONNLOAD_REPORT" > /dev/null
-kill "$PROXYD_PID" 2>/dev/null || true
-wait "$PROXYD_PID" 2>/dev/null || true
-trap - EXIT
-"$BUILD_DIR/tools/report_check" "$CONNLOAD_REPORT"
-echo "check.sh: epoll daemon matched loopback sources; 2000-conn load validated"
 
 # Perf-gate smoke: report_diff must pass a report against itself and against
 # the committed hotpath history, and — the self-test that makes its green

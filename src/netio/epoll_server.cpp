@@ -60,33 +60,34 @@ struct EpollCounters {
 // --- Connection -----------------------------------------------------------
 
 bool EpollFrameServer::Connection::send(wire::FrameKind kind,
-                                        std::string_view payload) {
-  return send(kind, payload, obs::TraceContext{});
-}
-
-bool EpollFrameServer::Connection::send(wire::FrameKind kind,
                                         std::string_view payload,
                                         const obs::TraceContext& trace) {
   if (closed_) return false;
-  const bool traced = server_->params_.tracer != nullptr && trace.valid() &&
-                      trace.sampled;
-  OutFrame out;
-  out.kind = kind;
-  out.traced = traced;
-  out.trace = trace;
-  out.t0 = traced ? obs::monotonic_ns() : 0;
   // Same encoding rule as FrameChannel::send: unsampled contexts stay off
   // the wire so untraced frames are byte-identical across transports.
-  out.bytes = (trace.valid() && trace.sampled)
-                  ? wire::encode_frame(kind, payload, trace)
-                  : wire::encode_frame(kind, payload);
-  const std::size_t size = out.bytes.size();
+  std::string bytes = (trace.valid() && trace.sampled)
+                          ? wire::encode_frame(kind, payload, trace)
+                          : wire::encode_frame(kind, payload);
   // Accounted at enqueue, not at flush completion: this is the epoll
   // equivalent of FrameChannel::send counting before write_all. Once the
-  // peer can observe the frame the counter already includes it, so the two
-  // transports stay bit-identical under snapshots taken downstream of a
-  // reply.
-  count_wire_frame(kind, "tx", size);
+  // peer can observe the frame the counter already includes it, so a
+  // snapshot taken downstream of a reply sees both ends' counts.
+  count_wire_frame(kind, "tx", bytes.size());
+  return enqueue(kind, std::move(bytes), trace);
+}
+
+bool EpollFrameServer::Connection::enqueue(wire::FrameKind kind,
+                                           std::string bytes,
+                                           const obs::TraceContext& trace) {
+  if (closed_) return false;
+  OutFrame out;
+  out.kind = kind;
+  out.traced =
+      server_->tracer() != nullptr && trace.valid() && trace.sampled;
+  out.trace = trace;
+  out.t0 = out.traced ? obs::monotonic_ns() : 0;
+  out.bytes = std::move(bytes);
+  const std::size_t size = out.bytes.size();
   wq_.push_back(std::move(out));
   wq_bytes_ += size;
   if (!paused_ && wq_bytes_ > server_->params_.max_write_queue_bytes) {
@@ -388,8 +389,8 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
     if (rc == 0) {
       c.peer_eof_ = true;
       // Orderly EOF: whatever is queued still flushes, then the fd closes.
-      // A partial frame left in rbuf_ is a truncated stream — drop it; the
-      // blocking path surfaces the same as read-kClosed mid-frame.
+      // A partial frame left in rbuf_ is a truncated stream — drop it, as
+      // FrameChannel::recv reports kClosed mid-frame.
       c.close_after_flush();
       return;
     }
@@ -401,13 +402,12 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
 }
 
 void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
-  auto& counters = EpollCounters::get();
   while (!c.closed_ && !c.paused_) {
     const std::string_view view(c.rbuf_.data() + c.rbuf_off_,
                                 c.rbuf_.size() - c.rbuf_off_);
     if (view.empty()) break;
-    const bool may_trace =
-        params_.tracer != nullptr && params_.tracer->enabled();
+    obs::Tracer* const tracer = this->tracer();
+    const bool may_trace = tracer != nullptr && tracer->enabled();
     const std::uint64_t t0 = may_trace ? obs::monotonic_ns() : 0;
     wire::DecodeResult r = wire::decode_frame(view, params_.max_frame_payload);
     if (r.status == wire::DecodeStatus::kNeedMore) break;
@@ -420,14 +420,13 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
     c.rbuf_off_ += r.consumed;
     c.last_activity_ms = now;
     if (may_trace && r.frame.trace.sampled) {
-      params_.tracer->record_span(obs::SpanKind::kFrameRecv, r.frame.trace,
-                                  t0, obs::monotonic_ns());
+      tracer->record_span(obs::SpanKind::kFrameRecv, r.frame.trace, t0,
+                          obs::monotonic_ns());
     }
     if (!handler_(c, std::move(r.frame))) {
       c.close_after_flush();
       break;
     }
-    (void)counters;
   }
   // Reclaim the consumed prefix once it dominates the buffer; amortized
   // O(1) per byte.
@@ -439,7 +438,6 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
 
 void EpollFrameServer::flush_writes(Connection& c) {
   if (c.closed_) return;
-  auto& counters = EpollCounters::get();
   while (!c.wq_.empty()) {
     Connection::OutFrame& f = c.wq_.front();
     const ssize_t rc = ::send(c.fd_, f.bytes.data() + f.off,
@@ -450,9 +448,10 @@ void EpollFrameServer::flush_writes(Connection& c) {
       if (f.off == f.bytes.size()) {
         // Counted at enqueue (Connection::send); only the span timing waits
         // for the actual flush.
-        if (f.traced && params_.tracer != nullptr) {
-          params_.tracer->record_span(obs::SpanKind::kFrameSend, f.trace,
-                                      f.t0, obs::monotonic_ns());
+        obs::Tracer* const tracer = this->tracer();
+        if (f.traced && tracer != nullptr) {
+          tracer->record_span(obs::SpanKind::kFrameSend, f.trace, f.t0,
+                              obs::monotonic_ns());
         }
         c.wq_.pop_front();
       }
@@ -475,7 +474,6 @@ void EpollFrameServer::flush_writes(Connection& c) {
       read_drain(c, now_ms());
     }
   }
-  (void)counters;
 }
 
 void EpollFrameServer::close_conn(Connection& c) {

@@ -1,10 +1,9 @@
 // Edge-triggered epoll frame server: one event-loop thread multiplexes
 // every connection, so concurrent sessions cost a few hundred bytes of
-// state instead of a blocked thread each — the 10k-connection path the
-// blocking FrameServer (netio/server.hpp) cannot reach. The blocking
-// server remains the reference implementation; this loop must produce
-// bit-identical frame semantics and wire metrics (proved by
-// tests/integration/epoll_differential_test.cpp).
+// state instead of a blocked thread each. It is the only TCP server in the
+// tree: the proxy daemon and every client host's peer listener run on it,
+// and tests/integration/epoll_differential_test.cpp proves the TCP stack
+// bit-identical to the in-process loopback transport.
 //
 // Shape: accept4(SOCK_NONBLOCK) drains the listener per readiness edge
 // (EMFILE parks accepting behind a retry timer instead of spinning); each
@@ -20,7 +19,9 @@
 // handler once per fully-decoded inbound frame, and the handler replies
 // through Connection::send (which enqueues; the loop flushes). Per-session
 // protocol state hangs off Connection::state(). Handlers run ON the loop
-// thread — they must not block.
+// thread — they must not block, with one exception: a client host's peer
+// listener serves a single holder, so a serve that blocks (a slow browser
+// store, an injected slow-peer fault) delays only that holder.
 #pragma once
 
 #include <atomic>
@@ -52,17 +53,14 @@ class EpollFrameServer {
     /// Per-connection write-queue budget; above it the connection's inbound
     /// processing pauses until the queue drains below half.
     std::size_t max_write_queue_bytes = 4u << 20;
-    /// Close connections silent for this long; 0 disables (parity with the
-    /// blocking server, whose sessions only end when the peer goes away).
+    /// Close connections silent for this long; 0 (the default) disables it,
+    /// so sessions end only when the peer goes away.
     int idle_timeout_ms = 0;
     /// stop() lets queued writes flush for this long before cutting.
     int drain_timeout_ms = 2000;
     /// Accept ceiling; 0 = bounded only by fds. At the ceiling accepting
     /// parks (like EMFILE) until a connection closes.
     std::size_t max_connections = 0;
-    /// When set, frame send/recv spans are recorded exactly like
-    /// FrameChannel records them (sampled contexts only).
-    obs::Tracer* tracer = nullptr;
   };
 
   /// One live connection, only ever touched from the loop thread. Handlers
@@ -71,12 +69,18 @@ class EpollFrameServer {
    public:
     std::uint64_t id() const { return id_; }
 
-    /// Enqueues one frame (encoded exactly as FrameChannel::send encodes
-    /// it) and flushes as far as the socket allows. False when the
-    /// connection is already closed.
-    bool send(wire::FrameKind kind, std::string_view payload);
+    /// Encodes one frame exactly as FrameChannel::send encodes it, counts
+    /// it as sent, and enqueues it. False when the connection is closed.
     bool send(wire::FrameKind kind, std::string_view payload,
-              const obs::TraceContext& trace);
+              const obs::TraceContext& trace = obs::TraceContext{});
+
+    /// Enqueues already-encoded frame bytes and flushes as far as the
+    /// socket allows; a sampled `trace` records a frame-send span when the
+    /// last byte is out. Counts nothing in the wire metrics, so bytes that
+    /// are not a valid frame (an injected corruption) stay uncounted, as
+    /// they would on a FrameChannel's raw connection. False when closed.
+    bool enqueue(wire::FrameKind kind, std::string bytes,
+                 const obs::TraceContext& trace = obs::TraceContext{});
 
     /// Close once every queued byte is flushed (orderly protocol end).
     void close_after_flush();
@@ -130,6 +134,12 @@ class EpollFrameServer {
   /// Graceful drain then join; idempotent.
   void stop();
 
+  /// Attaches a tracer: sampled frames get send/recv spans exactly like
+  /// FrameChannel records them. Call before traffic flows (it may be called
+  /// after start()); nullptr detaches; not owned.
+  void set_tracer(obs::Tracer* tracer) { tracer_.store(tracer); }
+  obs::Tracer* tracer() const { return tracer_.load(); }
+
   bool running() const { return running_.load(); }
   std::uint16_t port() const { return port_; }
   std::uint64_t sessions_handled() const { return sessions_handled_.load(); }
@@ -167,6 +177,7 @@ class EpollFrameServer {
   std::uint64_t drain_deadline_ms_ = 0;
 
   std::chrono::steady_clock::time_point epoch_;
+  std::atomic<obs::Tracer*> tracer_{nullptr};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> sessions_handled_{0};

@@ -1,8 +1,9 @@
-// Shared wire/netio metric accounting used by BOTH frame transports — the
-// blocking FrameChannel and the epoll event loop. Keeping the counting in
-// one place is what makes the epoll↔blocking differential meaningful: the
-// two paths must bump the exact same families with the exact same labels,
-// so a run over the same trace yields bit-identical counter snapshots.
+// Shared wire/netio metric accounting used by BOTH ends of every TCP
+// exchange — the blocking FrameChannel (clients, the proxy's peer pool) and
+// the epoll event loop (the proxy and every peer listener). Keeping the
+// counting in one place is what makes the TCP differential meaningful: for
+// every frame kind the tx count one end records must equal the rx count the
+// other end records, frame for frame and byte for byte.
 #pragma once
 
 #include <cstddef>

@@ -25,7 +25,18 @@ ProxyServer::ProxyServer(const Params& params)
       core_(params.core),
       peer_pool_(netio::ChannelPool::Params{
           params.peer_deadlines, params.net.max_frame_payload,
-          params.peer_pool_idle}) {
+          params.peer_pool_idle}),
+      server_(params.net, [this](netio::EpollFrameServer::Connection& conn,
+                                 wire::Frame&& frame) {
+        auto state = std::static_pointer_cast<Session>(conn.state());
+        if (state == nullptr) {
+          state = std::make_shared<Session>();
+          conn.state() = state;
+        }
+        return on_session_frame(*state, conn, frame);
+      }) {
+  BAPS_REQUIRE(params.event_driven,
+               "ProxyServer::Params::event_driven must stay true");
   core_.set_peer_fetch([this](ClientId holder, DocStore::Key key,
                               const obs::TraceContext& trace) {
     return peer_fetch(holder, key, trace);
@@ -34,57 +45,17 @@ ProxyServer::ProxyServer(const Params& params)
 
 ProxyServer::~ProxyServer() { stop(); }
 
-bool ProxyServer::start(std::string* error) {
-  if (params_.event_driven) {
-    netio::EpollFrameServer::Params ep = params_.epoll;
-    ep.host = params_.net.host;
-    ep.port = params_.net.port;
-    ep.max_frame_payload = params_.net.max_frame_payload;
-    ep.tracer = tracer_;
-    epoll_server_ = std::make_unique<netio::EpollFrameServer>(
-        ep, [this](netio::EpollFrameServer::Connection& conn,
-                   wire::Frame&& frame) {
-          auto state = std::static_pointer_cast<Session>(conn.state());
-          if (state == nullptr) {
-            state = std::make_shared<Session>();
-            conn.state() = state;
-          }
-          const SessionSender send =
-              [&conn](wire::FrameKind kind, std::string_view payload,
-                      const obs::TraceContext& trace) {
-                return conn.send(kind, payload, trace);
-              };
-          return on_session_frame(*state, frame, send);
-        });
-    return epoll_server_->start(error);
-  }
-  blocking_server_ = std::make_unique<netio::FrameServer>(
-      params_.net, [this](netio::FrameChannel& channel,
-                          const std::atomic<bool>& stop) {
-        session(channel, stop);
-      });
-  return blocking_server_->start(error);
-}
+bool ProxyServer::start(std::string* error) { return server_.start(error); }
 
 void ProxyServer::stop() {
-  if (epoll_server_ != nullptr) epoll_server_->stop();
-  if (blocking_server_ != nullptr) blocking_server_->stop();
+  server_.stop();
   peer_pool_.clear();
-}
-
-bool ProxyServer::running() const {
-  if (epoll_server_ != nullptr) return epoll_server_->running();
-  return blocking_server_ != nullptr && blocking_server_->running();
-}
-
-std::uint16_t ProxyServer::port() const {
-  if (epoll_server_ != nullptr) return epoll_server_->port();
-  return blocking_server_ != nullptr ? blocking_server_->port() : 0;
 }
 
 void ProxyServer::set_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   core_.set_tracer(tracer);
+  server_.set_tracer(tracer);
 }
 
 void ProxyServer::set_sampler(obs::TimeSeriesSampler* sampler) {
@@ -154,12 +125,13 @@ std::optional<Document> ProxyServer::peer_fetch(
   return std::nullopt;
 }
 
-bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
-                                   const SessionSender& send) {
-  const auto send_msg = [&send](const auto& m, const obs::TraceContext& trace =
+bool ProxyServer::on_session_frame(Session& s,
+                                   netio::EpollFrameServer::Connection& conn,
+                                   const wire::Frame& frame) {
+  const auto send_msg = [&conn](const auto& m, const obs::TraceContext& trace =
                                                    obs::TraceContext{}) {
     using Msg = std::decay_t<decltype(m)>;
-    return send(Msg::kKind, wire::encode(m), trace);
+    return conn.send(Msg::kKind, wire::encode(m), trace);
   };
 
   if (!s.hello_done) {
@@ -256,8 +228,10 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
         send_msg(wire::ErrorMsg{"bad trace stats request"});
         return false;
       }
-      // Registry and tracer have their own locks — no core_mu_ needed, so
-      // introspection never stalls behind a slow fetch.
+      // Registry and tracer have their own locks, so no core_mu_ — but on
+      // the one loop thread this still queues behind an in-flight fetch,
+      // slow peer leg included, until ROADMAP item 2 makes that leg
+      // asynchronous.
       wire::TraceStatsResponse response;
       response.json = trace_stats_json(request.max_spans).dump();
       return send_msg(response);
@@ -268,8 +242,8 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
         send_msg(wire::ErrorMsg{"bad time series request"});
         return false;
       }
-      // The sampler has its own lock — like trace stats, live telemetry
-      // never queues behind core_mu_.
+      // The sampler has its own lock — but like trace stats, this queues
+      // behind an in-flight fetch on the loop until ROADMAP item 2 lands.
       wire::TimeSeriesResponse response;
       if (sampler_ != nullptr) {
         response.json = sampler_->window_json(request.max_intervals).dump();
@@ -288,33 +262,6 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
       send_msg(wire::ErrorMsg{"unexpected frame kind " +
                               wire::frame_kind_name(frame.kind)});
       return false;
-  }
-}
-
-void ProxyServer::session(netio::FrameChannel& channel,
-                          const std::atomic<bool>& stop) {
-  channel.set_tracer(tracer_);
-  Session s;
-  const SessionSender send = [&channel](wire::FrameKind kind,
-                                        std::string_view payload,
-                                        const obs::TraceContext& trace) {
-    NetError err;
-    return channel.send(kind, payload, trace, &err);
-  };
-  while (!stop.load()) {
-    NetError recv_err;
-    const auto frame = channel.recv(&recv_err);
-    if (!frame.has_value()) {
-      if (recv_err.status == netio::NetStatus::kTimeout) {
-        // Pre-Hello silence is a dead dial — drop it (the original
-        // recv_msg<Hello> deadline). Established sessions just check the
-        // stop flag and keep waiting.
-        if (!s.hello_done) return;
-        continue;
-      }
-      return;  // closed, reset, or rejected frame — drop the connection
-    }
-    if (!on_session_frame(s, *frame, send)) return;
   }
 }
 

@@ -1,33 +1,27 @@
-// The BAPS proxy daemon core: a ProxyCore served over TCP by either frame
-// server. Sessions speak the wire protocol — Hello/HelloAck,
+// The BAPS proxy daemon core: a ProxyCore served over TCP by one
+// EpollFrameServer. Sessions speak the wire protocol — Hello/HelloAck,
 // FetchRequest/Response, IndexUpdate/Ack, StatsRequest/Response, Bye — and
 // peer fetches go out over pooled connections to the holder's registered
 // peer listener, carrying only the document key (§6.2).
 //
-// Both transports drive ONE session state machine (on_session_frame): the
-// blocking FrameServer loops recv() per worker thread, the epoll server
-// invokes it per decoded frame on the loop thread. Identical inputs produce
-// identical frame outputs and identical wire metrics on either path — the
-// epoll↔blocking differential test pins that down.
-//
-// Proxy state is serialized under one mutex: requests are handled one at a
-// time, which keeps cache, index, and round-robin evolution identical to the
-// in-process loopback for any serial client workload. A holder that is dead
-// or unreachable costs one bounded peer-deadline wait and then degrades to
-// an origin fetch (a false forward) — never a hang.
+// The loop thread advances each session's state machine (on_session_frame)
+// once per decoded frame, and proxy state is serialized under one mutex, so
+// requests are handled one at a time: cache, index, and round-robin
+// evolution stay identical to the in-process loopback for any serial client
+// workload. The peer leg runs on the loop thread too: a holder that is dead or unreachable
+// costs one bounded peer-deadline wait and then degrades to an origin fetch
+// (a false forward) — never a hang — but every other session, introspection
+// (TraceStats/TimeSeries) included, queues behind it until the peer leg
+// goes asynchronous (ROADMAP item 2).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "netio/channel_pool.hpp"
 #include "netio/epoll_server.hpp"
-#include "netio/server.hpp"
 #include "obs/snapshot_window.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
@@ -39,16 +33,17 @@ class ProxyServer {
  public:
   struct Params {
     ProxyCore::Params core;
-    netio::FrameServer::Params net;
+    /// Listener and event loop: host/port, frame limit, idle timeout, write
+    /// budget, drain, connection ceiling. Peer fetches dial holders on
+    /// `net.host` with the same frame limit.
+    netio::EpollFrameServer::Params net;
     /// Deadlines for outbound peer fetches — kept short so a dead holder
     /// degrades to origin quickly.
     netio::Deadlines peer_deadlines{500, 1000, 1000};
-    /// Serve with the edge-triggered epoll loop instead of the blocking
-    /// worker pool. host/port/max_frame_payload come from `net`; loop
-    /// behaviour (idle timeout, write budget, drain, connection ceiling)
-    /// from `epoll`.
-    bool event_driven = false;
-    netio::EpollFrameServer::Params epoll;
+    /// Compatibility stub, required true: the epoll loop is the only server.
+    /// The benchmark's fetch rig still assigns it; the next change to the
+    /// benchmark deletes that assignment, and then this field.
+    bool event_driven = true;
     /// Idle peer-fetch connections kept per holder.
     std::size_t peer_pool_idle = 4;
   };
@@ -62,18 +57,18 @@ class ProxyServer {
   bool start(std::string* error);
   void stop();
 
-  bool running() const;
-  std::uint16_t port() const;
-  bool event_driven() const { return params_.event_driven; }
+  bool running() const { return server_.running(); }
+  std::uint16_t port() const { return server_.port(); }
 
   /// Direct access to the proxy state, for in-process inspection by tests
   /// and the daemon's shutdown report. Not synchronized with live sessions —
   /// use while no client traffic is in flight, or go through the wire.
   ProxyCore& core() { return core_; }
 
-  /// Attaches the proxy-side tracer: sessions record frame spans, the core
-  /// records stage spans, and TraceStatsRequest answers include its recent
-  /// spans. Attach before start(); nullptr detaches; not owned.
+  /// Attaches the proxy-side tracer: sessions and peer fetches record frame
+  /// spans, the core records stage spans, and TraceStatsRequest answers
+  /// include its recent spans. Attach before start(); nullptr detaches;
+  /// not owned.
   void set_tracer(obs::Tracer* tracer);
 
   /// Attaches the daemon's time-series sampler so TimeSeriesRequest frames
@@ -93,24 +88,18 @@ class ProxyServer {
   obs::JsonValue trace_stats_json(std::uint32_t max_spans);
 
  private:
-  /// Per-session protocol state, shared by both transports.
+  /// Per-session protocol state, hung off the connection's state slot.
   struct Session {
     bool hello_done = false;
     bool observer = false;
     ClientId client_id = 0;
   };
 
-  /// How a session emits one frame; bound to FrameChannel::send on the
-  /// blocking path and Connection::send on the epoll path.
-  using SessionSender = std::function<bool(
-      wire::FrameKind, std::string_view, const obs::TraceContext&)>;
-
   /// Advances one session by one inbound frame. Returns false when the
   /// session must end (protocol error, Bye, or a failed send).
-  bool on_session_frame(Session& s, const wire::Frame& frame,
-                        const SessionSender& send);
+  bool on_session_frame(Session& s, netio::EpollFrameServer::Connection& conn,
+                        const wire::Frame& frame);
 
-  void session(netio::FrameChannel& channel, const std::atomic<bool>& stop);
   std::optional<Document> peer_fetch(ClientId holder, DocStore::Key key,
                                      const obs::TraceContext& trace);
 
@@ -125,8 +114,8 @@ class ProxyServer {
   std::unordered_map<ClientId, std::uint16_t> peer_ports_;
 
   netio::ChannelPool peer_pool_;
-  std::unique_ptr<netio::FrameServer> blocking_server_;
-  std::unique_ptr<netio::EpollFrameServer> epoll_server_;
+  /// Last member: its loop thread uses everything above.
+  netio::EpollFrameServer server_;
 };
 
 }  // namespace baps::runtime

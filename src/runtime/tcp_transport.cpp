@@ -39,74 +39,73 @@ void TcpTransport::bind_peer_host(PeerHost* host) {
   peer_servers_.resize(n);
   peer_ports_.resize(n, 0);
   // One peer listener per client: answers PeerFetch out of that client's
-  // browser store. A single worker suffices — the proxy serializes peer
-  // fetches — and keeps the listener's resource cost trivial.
+  // browser store on one loop thread.
   for (std::uint32_t c = 0; c < n; ++c) {
-    netio::FrameServer::Params net;
+    netio::EpollFrameServer::Params net;
     net.host = params_.proxy_host;
-    net.port = 0;
-    net.worker_threads = 1;
-    net.deadlines = params_.deadlines;
     net.max_frame_payload = params_.max_frame_payload;
-    peer_servers_[c] = std::make_unique<netio::FrameServer>(
-        net, [this, c](netio::FrameChannel& channel,
-                       const std::atomic<bool>& stop) {
-          // Reads tracer_ per connection: the tracer is attached after
-          // construction but before any traffic flows.
-          channel.set_tracer(tracer_);
-          while (!stop.load()) {
-            NetError err;
-            // recv (not recv_msg): the holder needs the frame's trace
-            // context to stitch its serve span into the request's trace.
-            const auto frame = channel.recv(&err);
-            if (!frame.has_value()) return;
-            wire::PeerFetch request;
-            if (frame->kind != wire::PeerFetch::kKind ||
-                !wire::decode(frame->payload, &request)) {
-              return;
-            }
-            wire::PeerDeliver deliver;
-            const bool traced = tracer_ != nullptr && frame->trace.sampled;
-            const std::uint64_t t0 = traced ? obs::monotonic_ns() : 0;
-            // The frame carries only the key — this handler cannot know,
-            // and therefore cannot leak, who originally asked (§6.2).
-            if (auto doc = host_->serve_peer_fetch(c, request.key)) {
-              deliver.found = true;
-              deliver.body = std::move(doc->body);
-              deliver.watermark = watermark_to_bytes(doc->mark);
-            }
-            if (traced) {
-              tracer_->record_span(obs::SpanKind::kPeerTransfer,
-                                   frame->trace, t0, obs::monotonic_ns());
-            }
-            if (plan_ != nullptr && deliver.found) {
-              if (plan_->should_inject(fault::FaultKind::kDropFrame)) {
-                // The frame is lost in flight: the proxy's peer read
-                // deadline expires and the fetch degrades to origin.
-                continue;
-              }
-              if (plan_->should_inject(fault::FaultKind::kCorruptFrame)) {
-                // Flip one payload byte after encoding so the frame CRC no
-                // longer matches: the proxy rejects it at the wire layer.
-                std::string raw = wire::encode_frame(
-                    wire::PeerDeliver::kKind, wire::encode(deliver));
-                raw.back() = static_cast<char>(raw.back() ^ 0x01);
-                NetError raw_err;
-                if (!channel.connection().write_all(
-                        raw.data(), raw.size(),
-                        channel.deadlines().write_ms, &raw_err)) {
-                  return;
-                }
-                continue;
-              }
-            }
-            if (!channel.send_msg(deliver, frame->trace, &err)) return;
-          }
+    peer_servers_[c] = std::make_unique<netio::EpollFrameServer>(
+        net, [this, c](netio::EpollFrameServer::Connection& conn,
+                       wire::Frame&& frame) {
+          return serve_peer_frame(c, conn, frame);
         });
+    peer_servers_[c]->set_tracer(tracer_);
     std::string error;
     BAPS_REQUIRE(peer_servers_[c]->start(&error),
                  "peer listener failed to start: " + error);
     peer_ports_[c] = peer_servers_[c]->port();
+  }
+}
+
+bool TcpTransport::serve_peer_frame(ClientId client,
+                                    netio::EpollFrameServer::Connection& conn,
+                                    const wire::Frame& frame) {
+  wire::PeerFetch request;
+  if (frame.kind != wire::PeerFetch::kKind ||
+      !wire::decode(frame.payload, &request)) {
+    return false;
+  }
+  // The listener's tracer, not tracer_: set_tracer may run on another
+  // thread after the listeners started, and only the listener stores it
+  // atomically.
+  obs::Tracer* const tracer = peer_servers_[client]->tracer();
+  wire::PeerDeliver deliver;
+  const bool traced = tracer != nullptr && frame.trace.sampled;
+  const std::uint64_t t0 = traced ? obs::monotonic_ns() : 0;
+  // The frame carries only the key — this handler cannot know, and
+  // therefore cannot leak, who originally asked (§6.2).
+  if (auto doc = host_->serve_peer_fetch(client, request.key)) {
+    deliver.found = true;
+    deliver.body = std::move(doc->body);
+    deliver.watermark = watermark_to_bytes(doc->mark);
+  }
+  if (traced) {
+    tracer->record_span(obs::SpanKind::kPeerTransfer, frame.trace, t0,
+                        obs::monotonic_ns());
+  }
+  if (plan_ != nullptr && deliver.found) {
+    if (plan_->should_inject(fault::FaultKind::kDropFrame)) {
+      // The frame is lost in flight: the proxy's peer read deadline
+      // expires and the fetch degrades to origin.
+      return true;
+    }
+    if (plan_->should_inject(fault::FaultKind::kCorruptFrame)) {
+      // Flip one payload byte after encoding so the frame CRC no longer
+      // matches: the proxy rejects it at the wire layer.
+      std::string raw = wire::encode_frame(wire::PeerDeliver::kKind,
+                                           wire::encode(deliver));
+      raw.back() = static_cast<char>(raw.back() ^ 0x01);
+      return conn.enqueue(wire::PeerDeliver::kKind, std::move(raw));
+    }
+  }
+  return conn.send(wire::PeerDeliver::kKind, wire::encode(deliver),
+                   frame.trace);
+}
+
+void TcpTransport::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  for (auto& server : peer_servers_) {
+    if (server != nullptr) server->set_tracer(tracer);
   }
 }
 

@@ -1,10 +1,12 @@
 // The client side of the wire protocol: a Transport that speaks to a
 // ProxyServer over TCP. Each client id gets one persistent proxy connection
-// (established lazily with Hello/HelloAck) and one peer listener — a tiny
-// FrameServer that answers PeerFetch frames out of the client host's browser
-// stores. Observer traffic (stats, public key, live telemetry) identifies
-// as kObserverClientId, registers nothing, and reuses one pooled
-// connection across polls.
+// (established lazily with Hello/HelloAck) and one peer listener — an
+// EpollFrameServer on one loop thread that answers PeerFetch frames out of
+// the client host's browser stores and never times a connection out, so
+// the proxy's pooled peer connections stay warm however long they idle.
+// Observer traffic (stats, public key, live telemetry) identifies as
+// kObserverClientId, registers nothing, and reuses one pooled connection
+// across polls.
 //
 // Failure policy: refused/reset proxy connections are retried with bounded
 // backoff (the daemon may still be starting); timeouts are not retried.
@@ -19,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "netio/epoll_server.hpp"
 #include "netio/frame_channel.hpp"
 #include "netio/retry.hpp"
-#include "netio/server.hpp"
 #include "runtime/transport.hpp"
 
 namespace baps::runtime {
@@ -31,6 +33,7 @@ class TcpTransport final : public Transport {
   struct Params {
     std::string proxy_host = "127.0.0.1";
     std::uint16_t proxy_port = 0;
+    /// Deadlines of the proxy and observer connections.
     netio::Deadlines deadlines;
     netio::RetryPolicy retry;
     std::uint64_t max_frame_payload = wire::kDefaultMaxPayload;
@@ -52,7 +55,7 @@ class TcpTransport final : public Transport {
   /// Client-side tracer: request frames carry sampled contexts, proxy and
   /// peer channels record frame spans, and the peer listeners record a
   /// peer_transfer span for each serve. Attach before traffic flows.
-  void set_tracer(obs::Tracer* tracer) override { tracer_ = tracer; }
+  void set_tracer(obs::Tracer* tracer) override;
 
   /// One-shot observer TraceStatsRequest: the proxy's live introspection
   /// JSON (baps.trace_stats.v1), `max_spans` most recent spans included.
@@ -77,6 +80,11 @@ class TcpTransport final : public Transport {
   /// The proxy connection for `client`, dialing + Hello on first use.
   netio::FrameChannel* channel_for(ClientId client);
   void drop_channel(ClientId client);
+  /// One frame on `client`'s peer listener, on its loop thread: answers a
+  /// PeerFetch out of the host's browser store, or applies a frame fault.
+  bool serve_peer_frame(ClientId client,
+                        netio::EpollFrameServer::Connection& conn,
+                        const wire::Frame& frame);
   /// Observer exchange over the pooled observer connection (dialed +
   /// Hello(kObserverClientId) on first use, re-dialed after failures).
   bool observer_session(
@@ -87,7 +95,7 @@ class TcpTransport final : public Transport {
   fault::FaultPlan* plan_ = nullptr;  ///< optional, not owned
   obs::Tracer* tracer_ = nullptr;     ///< optional, not owned
   /// Peer listeners, one per client id; null after kill_peer_server.
-  std::vector<std::unique_ptr<netio::FrameServer>> peer_servers_;
+  std::vector<std::unique_ptr<netio::EpollFrameServer>> peer_servers_;
   std::vector<std::uint16_t> peer_ports_;
   /// Persistent proxy connections, one per client id.
   std::vector<std::unique_ptr<netio::FrameChannel>> channels_;

@@ -1,20 +1,22 @@
-// The epoll transport equivalence proof: the same 1000-request preset trace
-// slice runs through two live TCP proxies — one on the blocking worker-pool
-// FrameServer (the reference), one on the edge-triggered EpollFrameServer —
-// and must produce
+// The TCP transport equivalence proof: the same 1000-request preset trace
+// slice runs through a live TCP proxy (the EpollFrameServer loop, with every
+// holder's peer listener on its own EpollFrameServer) and through the
+// in-process LoopbackTransport, and must produce
 //
 //   (1) byte-identical per-request outcomes (source, body, verification),
 //   (2) equal final ProxyStats, and
-//   (3) bit-identical wire metric deltas: the same wire_frames_total{kind,dir}
-//       and wire_bytes_total{dir} increments, frame for frame and byte for
-//       byte.
+//   (3) on the TCP run, for every wire_frames_total{kind} and for
+//       wire_bytes_total, a dir=tx delta equal to the dir=rx delta: every
+//       frame one end counts as sent, the other end counts as received,
+//       frame for frame and byte for byte.
 //
-// (3) is the strong claim: both transports must count through the shared
-// netio_metrics helpers at equivalent points (rx when a frame fully decodes,
-// tx when its last byte hits the socket), so any divergence in framing,
-// retries, or short-circuit paths shows up as a counter mismatch. Deltas are
-// compared (not absolute values) because Registry::global() is shared across
-// every test in this binary.
+// (3) pits the client-side FrameChannel counting points against the
+// server-side EpollFrameServer ones, so any divergence in framing, a resent
+// frame, or a short-circuit path shows up as a counter mismatch. It holds
+// exactly because the peer listeners never drop an idle connection: a pooled
+// peer connection that went stale would cost a redial and a resent
+// PeerFetch. Deltas are compared (not absolute values) because
+// Registry::global() is shared across every test in this binary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,44 +77,23 @@ WireCounts delta(const WireCounts& before, const WireCounts& after) {
   return d;
 }
 
-ProxyServer::Params proxy_params(bool event_driven) {
+ProxyServer::Params proxy_params() {
   ProxyServer::Params p;
   p.core.num_clients = kClients;
   p.core.seed = kSeed;
-  p.net.worker_threads = kClients + 2;
-  p.net.accept_poll_ms = 10;
-  p.net.deadlines = netio::Deadlines{1000, 100, 1000};
   p.peer_deadlines = netio::Deadlines{300, 1000, 1000};
-  p.event_driven = event_driven;
   return p;
 }
 
-/// Runs the slice against a fresh proxy and reports outcomes, final proxy
-/// stats, and the wire-counter delta attributable to the slice itself (the
-/// snapshot window closes before teardown, so Bye/close traffic — which
-/// races server shutdown — never enters the comparison).
-void run_slice(bool event_driven, const trace::Trace& t,
-               std::vector<Outcome>* outcomes, ProxyStats* stats,
-               WireCounts* wire_delta) {
-  const WireCounts before = wire_counts();
-  ProxyServer server(proxy_params(event_driven));
-  std::string error;
-  ASSERT_TRUE(server.start(&error)) << error;
-
-  TcpTransport::Params tp;
-  tp.proxy_port = server.port();
-  // The holders' peer listeners drop a connection after read_ms idle. With
-  // the 5 s default, whether the proxy's pooled peer connection is still
-  // open at its next reuse depended on CPU load, and a stale one costs a
-  // redial plus a resent PeerFetch frame on one run but not the other.
-  // Outlasting the slice keeps the pool's behaviour the same on both runs.
-  tp.deadlines.read_ms = 60000;
-  TcpTransport transport(tp);
+BapsSystem::Params system_params() {
   BapsSystem::Params sp;
   sp.num_clients = kClients;
   sp.seed = kSeed;
-  BapsSystem system(sp, transport);
+  return sp;
+}
 
+void browse_slice(BapsSystem& system, const trace::Trace& t,
+                  std::vector<Outcome>* outcomes) {
   std::size_t done = 0;
   for (const trace::Request& req : t.requests()) {
     if (done == kRequests) break;
@@ -123,6 +104,24 @@ void run_slice(bool event_driven, const trace::Trace& t,
     ++done;
   }
   ASSERT_EQ(done, kRequests) << "preset slice shorter than expected";
+}
+
+/// Runs the slice against a fresh TCP proxy and reports outcomes, final
+/// proxy stats, and the wire-counter delta attributable to the slice itself
+/// (the snapshot window closes before teardown, so Bye/close traffic — which
+/// races server shutdown — never enters the comparison).
+void run_tcp_slice(const trace::Trace& t, std::vector<Outcome>* outcomes,
+                   ProxyStats* stats, WireCounts* wire_delta) {
+  const WireCounts before = wire_counts();
+  ProxyServer server(proxy_params());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  TcpTransport::Params tp;
+  tp.proxy_port = server.port();
+  TcpTransport transport(tp);
+  BapsSystem system(system_params(), transport);
+  browse_slice(system, t, outcomes);
   *stats = server.core().stats();
   // Close the measurement window while every counted frame is determined:
   // the client holds the last response, so both sides have already counted
@@ -134,38 +133,43 @@ void run_slice(bool event_driven, const trace::Trace& t,
 TEST(EpollDifferentialTest, PresetSliceIsBitIdenticalAcrossTransports) {
   const trace::Trace t = trace::load_preset(trace::Preset::kBu95);
 
-  std::vector<Outcome> blocking_outcomes;
-  std::vector<Outcome> epoll_outcomes;
-  ProxyStats blocking_stats;
-  ProxyStats epoll_stats;
-  WireCounts blocking_wire;
-  WireCounts epoll_wire;
-  run_slice(false, t, &blocking_outcomes, &blocking_stats, &blocking_wire);
-  run_slice(true, t, &epoll_outcomes, &epoll_stats, &epoll_wire);
+  std::vector<Outcome> loopback_outcomes;
+  BapsSystem loopback(system_params());
+  browse_slice(loopback, t, &loopback_outcomes);
+
+  std::vector<Outcome> tcp_outcomes;
+  ProxyStats tcp_stats;
+  WireCounts tcp_wire;
+  run_tcp_slice(t, &tcp_outcomes, &tcp_stats, &tcp_wire);
 
   // (1) Per-request outcomes.
-  ASSERT_EQ(blocking_outcomes.size(), epoll_outcomes.size());
-  for (std::size_t i = 0; i < blocking_outcomes.size(); ++i) {
-    ASSERT_TRUE(blocking_outcomes[i] == epoll_outcomes[i])
-        << "request " << i << " diverged: blocking="
-        << blocking_outcomes[i].source
-        << " epoll=" << epoll_outcomes[i].source;
+  ASSERT_EQ(loopback_outcomes.size(), tcp_outcomes.size());
+  for (std::size_t i = 0; i < loopback_outcomes.size(); ++i) {
+    ASSERT_TRUE(loopback_outcomes[i] == tcp_outcomes[i])
+        << "request " << i << " diverged: loopback="
+        << loopback_outcomes[i].source << " tcp=" << tcp_outcomes[i].source;
   }
 
   // (2) Final proxy counters.
-  EXPECT_EQ(blocking_stats.proxy_hits, epoll_stats.proxy_hits);
-  EXPECT_EQ(blocking_stats.peer_hits, epoll_stats.peer_hits);
-  EXPECT_EQ(blocking_stats.origin_fetches, epoll_stats.origin_fetches);
-  EXPECT_EQ(blocking_stats.false_forwards, epoll_stats.false_forwards);
-  EXPECT_EQ(blocking_stats.rejected_index_updates,
-            epoll_stats.rejected_index_updates);
+  EXPECT_EQ(loopback.proxy_hits(), tcp_stats.proxy_hits);
+  EXPECT_EQ(loopback.peer_hits(), tcp_stats.peer_hits);
+  EXPECT_EQ(loopback.origin_fetches(), tcp_stats.origin_fetches);
+  EXPECT_EQ(loopback.false_forwards(), tcp_stats.false_forwards);
+  EXPECT_EQ(loopback.rejected_index_updates(),
+            tcp_stats.rejected_index_updates);
 
-  // (3) Bit-identical wire metric deltas, instance by instance.
-  ASSERT_EQ(blocking_wire.size(), epoll_wire.size())
-      << "one transport touched a wire counter the other never did";
-  for (const auto& [key, value] : blocking_wire) {
-    const auto it = epoll_wire.find(key);
-    ASSERT_NE(it, epoll_wire.end()) << "missing on epoll side: " << key;
+  // (3) Every frame sent was received: each dir=tx instance's delta equals
+  // its dir=rx counterpart's, and neither direction has an instance the
+  // other lacks.
+  ASSERT_FALSE(tcp_wire.empty()) << "the TCP run counted no wire traffic";
+  for (const auto& [key, value] : tcp_wire) {
+    const std::size_t at = key.find("dir=");
+    ASSERT_NE(at, std::string::npos) << key;
+    std::string counterpart = key;
+    counterpart.replace(at + 4, 2, key.compare(at + 4, 2, "tx") == 0 ? "rx"
+                                                                     : "tx");
+    const auto it = tcp_wire.find(counterpart);
+    ASSERT_NE(it, tcp_wire.end()) << "no counterpart for " << key;
     EXPECT_EQ(value, it->second) << key;
   }
 }

@@ -27,9 +27,6 @@ ProxyServer::Params proxy_params() {
   // the interesting request through the browser index.
   p.core.proxy_cache_bytes = 8 << 10;
   p.core.seed = kSeed;
-  p.net.worker_threads = kClients + 2;
-  p.net.accept_poll_ms = 10;
-  p.net.deadlines = netio::Deadlines{1000, 100, 1000};
   p.peer_deadlines = netio::Deadlines{300, 1000, 1000};
   return p;
 }

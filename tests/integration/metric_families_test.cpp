@@ -184,8 +184,6 @@ TEST(MetricFamiliesTest, EveryRegisteredFamilyHasACatalogRow) {
     pp.core.num_clients = 4;
     pp.core.proxy_cache_bytes = 16 << 10;
     pp.core.store.dir = dir.str();
-    pp.net.accept_poll_ms = 10;
-    pp.event_driven = true;
     runtime::ProxyServer server(pp);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;

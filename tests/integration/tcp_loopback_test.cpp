@@ -42,9 +42,6 @@ ProxyServer::Params proxy_params(std::uint32_t clients,
   p.core.num_clients = clients;
   p.core.proxy_cache_bytes = proxy_cache;
   p.core.seed = seed;
-  p.net.worker_threads = clients + 2;
-  p.net.accept_poll_ms = 10;
-  p.net.deadlines = netio::Deadlines{1000, 100, 1000};
   p.peer_deadlines = netio::Deadlines{300, 1000, 1000};
   return p;
 }

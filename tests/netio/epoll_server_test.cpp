@@ -1,12 +1,13 @@
 // The epoll frame server against real sockets: echo semantics, partial-frame
 // resume (bytes dribbled across many writes decode to the same frames), write
 // backpressure bounds, idle-timeout reaping, graceful drain, per-connection
-// handler state, and a concurrent many-connection sweep — the properties the
-// edge-triggered loop must preserve versus the blocking reference server.
+// handler state, a concurrent many-connection sweep, malformed-frame drops,
+// bind failures, and fd-recycling churn under stop().
 #include "netio/epoll_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,7 @@
 
 #include "netio/frame_channel.hpp"
 #include "netio/socket.hpp"
+#include "obs/registry.hpp"
 #include "wire/frame.hpp"
 
 namespace baps::netio {
@@ -129,7 +131,7 @@ TEST(EpollFrameServerTest, CoalescedFramesAllReachTheHandler) {
 
 TEST(EpollFrameServerTest, HandlerFalseEndsSessionAfterFlushingReplies) {
   // Replies queued by the final frame must still reach the client (the
-  // blocking server's "send error reply, then drop" pattern).
+  // proxy's "send error reply, then drop" pattern).
   EpollFrameServer server(
       fast_params(),
       [](EpollFrameServer::Connection& conn, wire::Frame&& frame) {
@@ -313,6 +315,113 @@ TEST(EpollFrameServerTest, ConnectionCeilingParksAcceptUntilACloseFreesASlot) {
   ASSERT_TRUE(frame.has_value()) << err.message;
   EXPECT_EQ(frame->payload, "c");
   server.stop();
+}
+
+TEST(EpollFrameServerTest, StopUnblocksIdleSessionsQuickly) {
+  EpollFrameServer server(fast_params(), echo_handler());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Connect and go silent: the session has nothing queued and no frame in
+  // flight, so stop() must end it at once instead of waiting for the peer.
+  auto channel = dial(server.port());
+  ASSERT_TRUE(channel.has_value());
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (server.connections_active() == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.connections_active(), 1u);
+
+  const auto start = Clock::now();
+  server.stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           Clock::now() - start)
+                           .count();
+  EXPECT_LT(stop_ms, 5000) << "stop() must not wait out idle sessions";
+  EXPECT_FALSE(server.running());
+}
+
+TEST(EpollFrameServerTest, MalformedFramesDropTheConnection) {
+  const auto decode_errors = [] {
+    std::uint64_t total = 0;
+    for (const auto& inst : obs::Registry::global().snapshot().counters) {
+      if (inst.name == "wire_decode_errors_total") total += inst.value;
+    }
+    return total;
+  };
+  const std::uint64_t before = decode_errors();
+
+  EpollFrameServer server(fast_params(), echo_handler());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  NetError err;
+  auto conn = TcpConnection::connect("127.0.0.1", server.port(), 1000, &err);
+  ASSERT_TRUE(conn.has_value());
+  // Garbage that can never parse as a frame header.
+  const std::string junk(64, 'Z');
+  ASSERT_TRUE(conn->write_all(junk.data(), junk.size(), 1000, &err));
+  // The server rejects the header and drops the session: our next read sees
+  // EOF (possibly after the bytes in flight drain).
+  char byte = 0;
+  EXPECT_FALSE(conn->read_exact(&byte, 1, 2000, &err));
+  EXPECT_NE(err.status, NetStatus::kTimeout) << "connection should be closed";
+  server.stop();
+  EXPECT_GT(decode_errors(), before);
+}
+
+TEST(EpollFrameServerTest, RapidSessionChurnDoesNotShutDownRecycledFds) {
+  // A closed session's fd number goes straight back to the kernel, and the
+  // next accept may be handed it. The loop keys sessions by id, never by fd,
+  // and removes an fd from the epoll set before closing it, so a recycled
+  // number can never receive a stale session's events or be closed twice.
+  // Churn short sessions from several threads while stop() fires mid-flight;
+  // TSan (the CI job runs this test under it) sees the cross-thread
+  // ordering, and any cross-kill shows up as a hung or failed exchange.
+  EpollFrameServer server(fast_params(), echo_handler());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const std::uint16_t port = server.port();
+
+  std::atomic<bool> halt{false};
+  std::atomic<int> exchanges{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      while (!halt.load()) {
+        auto channel = dial(port);
+        if (!channel.has_value()) continue;  // accept backlog under churn
+        NetError err;
+        if (!channel->send(wire::FrameKind::kHello, "churn", &err)) continue;
+        if (channel->recv(&err).has_value()) exchanges.fetch_add(1);
+        channel->close();  // next dial immediately recycles this fd number
+      }
+    });
+  }
+  // Let the churn run, then stop the server while dials are still in
+  // flight.
+  const auto deadline = Clock::now() + std::chrono::seconds(2);
+  while (exchanges.load() < 50 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  server.stop();
+  halt.store(true);
+  for (auto& c : clients) c.join();
+  EXPECT_GT(exchanges.load(), 0);
+  EXPECT_FALSE(server.running());
+}
+
+TEST(EpollFrameServerTest, StartFailsOnUnbindablePort) {
+  auto params = fast_params();
+  EpollFrameServer first(params, echo_handler());
+  std::string error;
+  ASSERT_TRUE(first.start(&error)) << error;
+
+  params.port = first.port();  // already taken
+  EpollFrameServer second(params, echo_handler());
+  EXPECT_FALSE(second.start(&error));
+  EXPECT_FALSE(error.empty());
+  first.stop();
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "runtime/loopback_transport.hpp"
 #include "runtime/proxy_server.hpp"
 #include "runtime/system.hpp"
@@ -37,9 +39,6 @@ ProxyServer::Params server_params(const BapsSystem::Params& p) {
   sp.core.proxy_cache_bytes = p.proxy_cache_bytes;
   sp.core.seed = p.seed;
   sp.core.rsa_modulus_bits = p.rsa_modulus_bits;
-  sp.net.worker_threads = 4;
-  sp.net.accept_poll_ms = 10;
-  sp.net.deadlines = netio::Deadlines{1000, 100, 1000};
   sp.peer_deadlines = netio::Deadlines{200, 500, 500};
   return sp;
 }
@@ -186,6 +185,47 @@ TEST(TransportTest, DeadPeerDegradesToOriginWithinDeadline) {
   // without another false forward.
   sys.browse(2, url);
   EXPECT_EQ(sys.false_forwards(), 1u);
+  server.stop();
+}
+
+std::uint64_t counter_total(const std::string& name) {
+  std::uint64_t total = 0;
+  for (const auto& c : obs::Registry::global().snapshot().counters) {
+    if (c.name == name) total += c.value;
+  }
+  return total;
+}
+
+TEST(TransportTest, PooledPeerConnectionOutlivesTheReadDeadline) {
+  // A holder's peer listener never drops an idle connection, so the proxy's
+  // pooled peer connection is still warm after a gap longer than any read
+  // deadline: the second peer hit reuses it instead of redialing.
+  auto params = small_params();
+  ProxyServer server(server_params(params));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  // Short enough to keep the idle gap below brief, long enough that no
+  // fetch (an origin fetch signs) runs into it on a loaded machine.
+  TcpTransport::Params tp = transport_params(server.port());
+  tp.deadlines.read_ms = 500;
+  TcpTransport transport(tp);
+  BapsSystem sys(params, transport);
+
+  const std::string first = "http://idle-first.test/";
+  const std::string second = "http://idle-second.test/";
+  sys.browse(0, first);  // client0 holds both documents
+  sys.browse(0, second);
+  evict_proxy_cache(sys, 2);
+  ASSERT_EQ(sys.browse(1, first).source, FetchOutcome::Source::kRemoteBrowser);
+
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(3 * tp.deadlines.read_ms));
+  const std::uint64_t reuse_before = counter_total("netio_pool_reuse_total");
+  const std::uint64_t dial_before = counter_total("netio_pool_dial_total");
+  ASSERT_EQ(sys.browse(1, second).source,
+            FetchOutcome::Source::kRemoteBrowser);
+  EXPECT_EQ(counter_total("netio_pool_reuse_total"), reuse_before + 1);
+  EXPECT_EQ(counter_total("netio_pool_dial_total"), dial_before);
   server.stop();
 }
 

@@ -148,8 +148,8 @@ void render(const JsonValue& window, bool plain) {
             << fmt_rate(rx) << " B/s\n";
 
   // Connection load: live count from the event loop's gauge, accept rate
-  // from the accepted-connections counter. Absent (all zeros) on daemons
-  // running the blocking transport, which predates these instruments.
+  // from the accepted-connections counter. Absent from streams recorded by
+  // daemons older than these instruments.
   const JsonValue* active_g =
       find_entry(rec, "gauges", "netio_connections_active");
   const JsonValue* active_v =
