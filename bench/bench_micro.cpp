@@ -6,6 +6,7 @@
 #include "crypto/des.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/md5.hpp"
+#include "crypto/montgomery.hpp"
 #include "crypto/rsa.hpp"
 #include "index/bloom.hpp"
 #include "trace/generator.hpp"
@@ -24,17 +25,20 @@ void BM_Md5_8KB(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5_8KB);
 
+// Sign is the CRT private-key operation; verify stays on BigUInt::mod_pow.
 void BM_RsaSignDigest(benchmark::State& state) {
-  const auto keys = baps::crypto::generate_rsa_keypair(256, 5);
+  const auto keys = baps::crypto::generate_rsa_keypair(
+      static_cast<std::size_t>(state.range(0)), 5);
   const auto digest = baps::crypto::md5("document");
   for (auto _ : state) {
     benchmark::DoNotOptimize(baps::crypto::rsa_sign_digest(digest, keys.priv));
   }
 }
-BENCHMARK(BM_RsaSignDigest);
+BENCHMARK(BM_RsaSignDigest)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_RsaVerifyDigest(benchmark::State& state) {
-  const auto keys = baps::crypto::generate_rsa_keypair(256, 5);
+  const auto keys = baps::crypto::generate_rsa_keypair(
+      static_cast<std::size_t>(state.range(0)), 5);
   const auto digest = baps::crypto::md5("document");
   const auto sig = baps::crypto::rsa_sign_digest(digest, keys.priv);
   for (auto _ : state) {
@@ -42,7 +46,21 @@ void BM_RsaVerifyDigest(benchmark::State& state) {
         baps::crypto::rsa_verify_digest(digest, sig, keys.pub));
   }
 }
-BENCHMARK(BM_RsaVerifyDigest);
+BENCHMARK(BM_RsaVerifyDigest)->Arg(256)->Arg(512)->Arg(1024);
+
+// One full-width exponentiation modulo the odd modulus 2^range(0) - 189.
+void BM_MontgomeryPow(benchmark::State& state) {
+  using baps::crypto::BigUInt;
+  const auto m = BigUInt(1).shifted_left(static_cast<std::size_t>(
+                     state.range(0))) - BigUInt(189);
+  const baps::crypto::MontgomeryModulus mont(m);
+  const auto base = BigUInt::from_hex("123456789abcdef");
+  const auto exp = m - BigUInt(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mont.pow(base, exp));
+  }
+}
+BENCHMARK(BM_MontgomeryPow)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_HmacMd5_IndexUpdate(benchmark::State& state) {
   const std::string key = "per-client shared key";

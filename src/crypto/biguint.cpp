@@ -103,6 +103,26 @@ std::uint64_t BigUInt::to_u64() const {
   return v;
 }
 
+std::uint64_t BigUInt::limb64(std::size_t i) const {
+  std::uint64_t v = 0;
+  if (2 * i < limbs_.size()) v = limbs_[2 * i];
+  if (2 * i + 1 < limbs_.size()) {
+    v |= static_cast<std::uint64_t>(limbs_[2 * i + 1]) << 32;
+  }
+  return v;
+}
+
+BigUInt BigUInt::from_limbs64(std::span<const std::uint64_t> limbs) {
+  BigUInt out;
+  out.limbs_.reserve(limbs.size() * 2);
+  for (std::uint64_t v : limbs) {
+    out.limbs_.push_back(static_cast<std::uint32_t>(v));
+    out.limbs_.push_back(static_cast<std::uint32_t>(v >> 32));
+  }
+  out.trim();
+  return out;
+}
+
 std::strong_ordering operator<=>(const BigUInt& a, const BigUInt& b) {
   if (a.limbs_.size() != b.limbs_.size()) {
     return a.limbs_.size() <=> b.limbs_.size();

@@ -1,6 +1,13 @@
 // Arbitrary-precision unsigned integers, just enough for demonstration-grade
-// RSA (schoolbook multiplication, binary long division, Montgomery-free
-// modular exponentiation). Limbs are 32-bit so products fit in uint64_t.
+// RSA (schoolbook multiplication, binary long division). Limbs are 32-bit so
+// products fit in uint64_t.
+//
+// mod_pow here reduces with a bit-serial long division on every multiply, so
+// it serves only the public-exponent operations (watermark verify, onion
+// wrap) and is the reference the fast path is tested against. Private-key
+// operations and Miller–Rabin run on crypto::MontgomeryModulus
+// (montgomery.hpp), which reads and writes BigUInts through the 64-bit limb
+// accessors below.
 //
 // This is NOT a constant-time implementation and the library's RSA keys are
 // deliberately small (256–512 bits): the reproduction needs the *protocol
@@ -35,6 +42,13 @@ class BigUInt {
   std::string to_hex() const;
   /// Value as uint64_t; requires bit_length() <= 64.
   std::uint64_t to_u64() const;
+
+  /// Number of little-endian 64-bit limbs (0 for zero).
+  std::size_t limb64_count() const { return (limbs_.size() + 1) / 2; }
+  /// The i-th little-endian 64-bit limb; 0 past the top.
+  std::uint64_t limb64(std::size_t i) const;
+  /// From little-endian 64-bit limbs (high zero limbs allowed).
+  static BigUInt from_limbs64(std::span<const std::uint64_t> limbs);
 
   friend std::strong_ordering operator<=>(const BigUInt& a, const BigUInt& b);
   friend bool operator==(const BigUInt& a, const BigUInt& b) {

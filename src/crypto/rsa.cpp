@@ -36,6 +36,11 @@ bool is_probable_prime(const BigUInt& n, int rounds, std::uint64_t seed) {
     d = d.shifted_right(1);
     ++r;
   }
+  // n is odd here (2 was trial-divided), so the exponentiations and
+  // squarings run in Montgomery form; residues compare like plain values.
+  const MontgomeryModulus mont(n);
+  const MontgomeryModulus::Residue one = mont.one();
+  const MontgomeryModulus::Residue minus_one = mont.to_residue(n_minus_1);
   Xoshiro256 rng(seed);
   const std::size_t bits = n.bit_length();
   for (int round = 0; round < rounds; ++round) {
@@ -43,14 +48,14 @@ bool is_probable_prime(const BigUInt& n, int rounds, std::uint64_t seed) {
     // rejection terminates fast because bits matches n's size.
     BigUInt a;
     do {
-      a = random_biguint(bits, rng) % n;
+      a = mont.reduce(random_biguint(bits, rng));
     } while (a < BigUInt(2) || a > n - BigUInt(2));
-    BigUInt x = BigUInt::mod_pow(a, d, n);
-    if (x == BigUInt(1) || x == n_minus_1) continue;
+    MontgomeryModulus::Residue x = mont.pow(mont.to_residue(a), d);
+    if (x == one || x == minus_one) continue;
     bool composite = true;
     for (std::size_t i = 0; i + 1 < r; ++i) {
-      x = (x * x) % n;
-      if (x == n_minus_1) {
+      x = mont.mul(x, x);
+      if (x == minus_one) {
         composite = false;
         break;
       }
@@ -73,6 +78,8 @@ BigUInt generate_prime(std::size_t bits, std::uint64_t seed) {
 RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, std::uint64_t seed) {
   BAPS_REQUIRE(modulus_bits >= 136,
                "modulus must exceed the 128-bit MD5 digest");
+  BAPS_REQUIRE(modulus_bits <= 2 * 64 * MontgomeryModulus::kMaxLimbs,
+               "modulus above 2048 bits: its primes exceed MontgomeryModulus");
   SplitMix64 mixer(seed);
   const BigUInt e(65537);
   for (;;) {
@@ -85,14 +92,30 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, std::uint64_t seed) {
     if (!(BigUInt::gcd(e, phi) == BigUInt(1))) continue;
     const BigUInt d = BigUInt::mod_inverse(e, phi);
     if (d.is_zero()) continue;
-    return RsaKeyPair{RsaPublicKey{n, e}, RsaPrivateKey{n, d}};
+    return RsaKeyPair{
+        RsaPublicKey{n, e},
+        RsaPrivateKey{n, d, p, q, d % (p - BigUInt(1)), d % (q - BigUInt(1)),
+                      BigUInt::mod_inverse(q, p), MontgomeryModulus(p),
+                      MontgomeryModulus(q)}};
   }
 }
 
+BigUInt rsa_private_op(const BigUInt& x, const RsaPrivateKey& key) {
+  BAPS_REQUIRE(x < key.n, "operand must be below the modulus");
+  BAPS_REQUIRE(!key.mont_p.empty() && !key.mont_q.empty(),
+               "private key lacks its CRT components");
+  // s_q = x^dQ mod q; s_p = x^dP mod p (kept in Montgomery form), then
+  // Garner: s = s_q + q·(qInv·(s_p - s_q) mod p), which lies in [0, n).
+  const MontgomeryModulus& mp = key.mont_p;
+  const BigUInt sq = key.mont_q.pow(x, key.dq);
+  const MontgomeryModulus::Residue sp = mp.pow(mp.to_residue(x), key.dp);
+  const MontgomeryModulus::Residue h =
+      mp.mul(mp.sub(sp, mp.to_residue(sq)), mp.to_residue(key.q_inv));
+  return sq + key.q * mp.from_residue(h);
+}
+
 BigUInt rsa_sign_digest(const Md5Digest& digest, const RsaPrivateKey& key) {
-  const BigUInt m = BigUInt::from_bytes(digest.bytes);
-  BAPS_REQUIRE(m < key.n, "digest must embed below the modulus");
-  return BigUInt::mod_pow(m, key.d, key.n);
+  return rsa_private_op(BigUInt::from_bytes(digest.bytes), key);
 }
 
 bool rsa_verify_digest(const Md5Digest& digest, const BigUInt& signature,

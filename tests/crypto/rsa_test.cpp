@@ -97,5 +97,9 @@ TEST(RsaKeygenTest, RejectsTooSmallModulus) {
   EXPECT_THROW(generate_rsa_keypair(128, 1), baps::InvariantError);
 }
 
+TEST(RsaKeygenTest, RejectsModulusAbove2048Bits) {
+  EXPECT_THROW(generate_rsa_keypair(2049, 1), baps::InvariantError);
+}
+
 }  // namespace
 }  // namespace baps::crypto
