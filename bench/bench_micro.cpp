@@ -3,7 +3,6 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/object_cache.hpp"
-#include "crypto/des.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/montgomery.hpp"
@@ -70,17 +69,6 @@ void BM_HmacMd5_IndexUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacMd5_IndexUpdate);
-
-void BM_DesCbc_8KB(benchmark::State& state) {
-  const std::vector<std::uint8_t> body(8192, 0x42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        baps::crypto::des_cbc_encrypt(body, 0x0E329232EA6D0D73ULL, 7));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          8192);
-}
-BENCHMARK(BM_DesCbc_8KB);
 
 void BM_ZipfSample(benchmark::State& state) {
   const baps::trace::ZipfSampler zipf(

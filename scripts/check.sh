@@ -59,7 +59,8 @@ echo "check.sh: tcp/loopback sources identical (200 requests); 2000-conn load va
 # Tracing smoke: run the same daemon with sampling at 1.0 on both sides, then
 # assert the two span logs stitch — shared trace ids whose parent links all
 # resolve across the client/proxy process boundary — and that the live STATS
-# endpoint serves a baps.trace_stats.v1 snapshot while the daemon is up.
+# endpoint serves a baps.trace_stats.v1 snapshot, live-rate window included,
+# while the daemon is up.
 PROXYD_LOG="$BUILD_DIR/check_trace_proxyd.log"
 PROXY_SPANS="$BUILD_DIR/check_trace_proxy_spans.jsonl"
 CLIENT_SPANS="$BUILD_DIR/check_trace_client_spans.jsonl"
@@ -82,12 +83,21 @@ STATS=$("$BUILD_DIR/tools/baps_fetch" --transport tcp --port "$PROXY_PORT" \
   --stats)
 echo "$STATS" | grep -q '"schema": *"baps.trace_stats.v1"' \
   || { echo "STATS snapshot missing schema"; echo "$STATS"; exit 1; }
+# No --ts-interval above: the always-on sampler still serves the window.
+echo "$STATS" | grep -q '"schema": *"baps.timeseries_window.v1"' \
+  || { echo "STATS snapshot missing the sampler window"; echo "$STATS"; exit 1; }
 kill "$PROXYD_PID" 2>/dev/null || true
 wait "$PROXYD_PID" 2>/dev/null || true
 trap - EXIT
 "$BUILD_DIR/tools/trace_check" --min-shared 100 \
   "$CLIENT_SPANS" "$PROXY_SPANS"
 echo "check.sh: traced tcp run stitched across client and proxyd"
+
+# The sampler behind every live rate cannot be switched off: a zero
+# interval is a usage error (exit 2), not a daemon without rates.
+RC=0; "$BUILD_DIR/tools/baps_proxyd" --port 0 --max-seconds 1 --ts-interval 0 \
+  > /dev/null 2>&1 || RC=$?
+[ "$RC" -eq 2 ] || { echo "baps_proxyd --ts-interval 0 exited $RC, want 2"; exit 1; }
 
 # Seeded fault smoke: a loopback run with every fault kind enabled must
 # serve all requests correctly (--fault-strict: verified == requests and

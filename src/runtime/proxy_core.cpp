@@ -1,5 +1,8 @@
 #include "runtime/proxy_core.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "crypto/watermark.hpp"
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
@@ -16,6 +19,19 @@ std::vector<std::string> derive_client_mac_keys(std::uint64_t seed,
     keys.push_back("k" + std::to_string(key_mixer.next()));
   }
   return keys;
+}
+
+crypto::Md5Digest index_update_mac(std::string_view mac_key, ClientId sender,
+                                   bool is_add, std::uint64_t key) {
+  // Built on the stack because every browser-cache add and eviction lands
+  // here: "remove:" + up to 10 sender digits + ':' + up to 20 key digits.
+  char msg[7 + 10 + 1 + 20];
+  const std::string_view op = is_add ? "add:" : "remove:";
+  char* end = std::copy(op.begin(), op.end(), msg);
+  end = std::to_chars(end, end + 10, sender).ptr;
+  *end++ = ':';
+  end = std::to_chars(end, end + 20, key).ptr;
+  return crypto::hmac_md5(mac_key, std::string_view(msg, end));
 }
 
 ProxyCore::RequestCounters::RequestCounters()
@@ -55,24 +71,15 @@ void ProxyCore::record(MsgKind kind, std::string from, std::string to,
   }
 }
 
-crypto::Md5Digest ProxyCore::index_update_mac(ClientId sender, bool is_add,
-                                              DocStore::Key key) const {
-  BAPS_REQUIRE(sender < mac_keys_.size(), "client id out of range");
-  std::string msg = is_add ? "add:" : "remove:";
-  msg += std::to_string(sender);
-  msg += ':';
-  msg += std::to_string(key);
-  return crypto::hmac_md5(mac_keys_[sender], msg);
-}
-
 bool ProxyCore::apply_index_update(ClientId claimed_sender, bool is_add,
                                    DocStore::Key key,
                                    const crypto::Md5Digest& mac) {
   BAPS_REQUIRE(claimed_sender < mac_keys_.size(), "client id out of range");
   // The proxy recomputes the MAC under the claimed sender's key: only the
   // real owner of that key can mutate its own index entries.
-  if (!crypto::digest_equal(mac,
-                            index_update_mac(claimed_sender, is_add, key))) {
+  if (!crypto::digest_equal(mac, index_update_mac(mac_keys_[claimed_sender],
+                                                 claimed_sender, is_add,
+                                                 key))) {
     ++stats_.rejected_index_updates;
     return false;
   }

@@ -82,11 +82,6 @@ class ProxyCore {
   bool apply_index_update(ClientId claimed_sender, bool is_add,
                           DocStore::Key key, const crypto::Md5Digest& mac);
 
-  /// MAC the proxy expects over an index update:
-  /// HMAC(key_of(sender), op | sender | url key).
-  crypto::Md5Digest index_update_mac(ClientId sender, bool is_add,
-                                     DocStore::Key key) const;
-
   /// Robustness policy: when a peer fetch fails, drop ALL of the holder's
   /// index entries rather than just the failed one — a dead peer costs one
   /// false forward instead of one per stale entry.

@@ -62,9 +62,13 @@ void ProxyServer::set_sampler(obs::TimeSeriesSampler* sampler) {
   sampler_ = sampler;
 }
 
-void ProxyServer::capture_window_snapshot() {
-  window_.capture(obs::Registry::global().snapshot(),
-                  obs::monotonic_seconds());
+obs::JsonValue ProxyServer::window_json(std::size_t max_intervals) const {
+  if (sampler_ != nullptr) return sampler_->window_json(max_intervals);
+  obs::JsonValue empty = obs::json_object({});
+  empty.set("schema", obs::JsonValue(obs::kTimeSeriesWindowSchema));
+  empty.set("interval_seconds", obs::JsonValue(0.0));
+  empty.set("intervals", obs::JsonValue(obs::JsonArray{}));
+  return empty;
 }
 
 obs::JsonValue ProxyServer::trace_stats_json(std::uint32_t max_spans) {
@@ -72,7 +76,7 @@ obs::JsonValue ProxyServer::trace_stats_json(std::uint32_t max_spans) {
   out.set("schema", obs::JsonValue("baps.trace_stats.v1"));
   out.set("registry", obs::to_json(obs::with_latency_quantiles(
                           obs::Registry::global().snapshot())));
-  out.set("window", window_.window_json());
+  out.set("window", window_json(1));
   if (tracer_ != nullptr) {
     obs::JsonArray spans;
     for (const obs::SpanRecord& rec : tracer_->recent_spans(max_spans)) {
@@ -245,15 +249,7 @@ bool ProxyServer::on_session_frame(Session& s,
       // The sampler has its own lock — but like trace stats, this queues
       // behind an in-flight fetch on the loop until ROADMAP item 2 lands.
       wire::TimeSeriesResponse response;
-      if (sampler_ != nullptr) {
-        response.json = sampler_->window_json(request.max_intervals).dump();
-      } else {
-        obs::JsonValue empty = obs::json_object({});
-        empty.set("schema", obs::JsonValue(obs::kTimeSeriesWindowSchema));
-        empty.set("interval_seconds", obs::JsonValue(0.0));
-        empty.set("intervals", obs::JsonValue(obs::JsonArray{}));
-        response.json = empty.dump();
-      }
+      response.json = window_json(request.max_intervals).dump();
       return send_msg(response);
     }
     case wire::FrameKind::kBye:

@@ -22,7 +22,6 @@
 
 #include "netio/channel_pool.hpp"
 #include "netio/epoll_server.hpp"
-#include "obs/snapshot_window.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/proxy_core.hpp"
@@ -71,20 +70,18 @@ class ProxyServer {
   /// not owned.
   void set_tracer(obs::Tracer* tracer);
 
-  /// Attaches the daemon's time-series sampler so TimeSeriesRequest frames
-  /// serve its live interval ring. Attach before start(); nullptr detaches;
-  /// not owned. Without a sampler the proxy answers with an empty window —
+  /// Attaches the daemon's time-series sampler, the one source of live
+  /// rates: TimeSeriesRequest frames serve its interval ring and
+  /// TraceStatsRequest its latest interval. Attach before start(); nullptr
+  /// detaches; not owned. Without a sampler both answer an empty window —
   /// still a valid baps.timeseries_window.v1 document.
   void set_sampler(obs::TimeSeriesSampler* sampler);
 
-  /// Captures one timestamped registry snapshot into the rolling window
-  /// (the daemon's poll loop calls this ~once a second).
-  void capture_window_snapshot();
-
   /// The baps.trace_stats.v1 introspection document served to
-  /// TraceStatsRequest: live registry snapshot with latency quantiles,
-  /// windowed counter rates, tracer totals, recent spans (up to
-  /// `max_spans`), and the top-K slowest trace trees.
+  /// TraceStatsRequest: live registry snapshot with latency quantiles, the
+  /// sampler's most recent interval under "window" (counter deltas and
+  /// rates), tracer totals, recent spans (up to `max_spans`), and the top-K
+  /// slowest trace trees.
   obs::JsonValue trace_stats_json(std::uint32_t max_spans);
 
  private:
@@ -100,6 +97,10 @@ class ProxyServer {
   bool on_session_frame(Session& s, netio::EpollFrameServer::Connection& conn,
                         const wire::Frame& frame);
 
+  /// The baps.timeseries_window.v1 envelope of the sampler's last
+  /// `max_intervals` intervals (0: the whole ring); empty without a sampler.
+  obs::JsonValue window_json(std::size_t max_intervals) const;
+
   std::optional<Document> peer_fetch(ClientId holder, DocStore::Key key,
                                      const obs::TraceContext& trace);
 
@@ -108,7 +109,6 @@ class ProxyServer {
   std::mutex core_mu_;
   obs::Tracer* tracer_ = nullptr;  ///< optional, not owned
   obs::TimeSeriesSampler* sampler_ = nullptr;  ///< optional, not owned
-  obs::SnapshotWindow window_;
 
   std::mutex ports_mu_;
   std::unordered_map<ClientId, std::uint16_t> peer_ports_;

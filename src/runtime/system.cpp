@@ -72,20 +72,17 @@ void BapsSystem::init_clients() {
     // Browser-cache replacement sends the paper's invalidation message.
     clients_[c].browser->set_eviction_listener(
         [this, c](DocStore::Key key, const Document&) {
-          trace_.record(MsgKind::kIndexRemove, client_name(c), "proxy", key);
-          transport_->index_update(c, /*is_add=*/false, key,
-                                   index_update_mac(c, false, key));
+          announce(c, /*is_add=*/false, key);
         });
   }
 }
 
-crypto::Md5Digest BapsSystem::index_update_mac(ClientId sender, bool is_add,
-                                               DocStore::Key key) const {
-  std::string msg = is_add ? "add:" : "remove:";
-  msg += std::to_string(sender);
-  msg += ':';
-  msg += std::to_string(key);
-  return crypto::hmac_md5(clients_[sender].mac_key, msg);
+void BapsSystem::announce(ClientId client, bool is_add, DocStore::Key key) {
+  trace_.record(is_add ? MsgKind::kIndexAdd : MsgKind::kIndexRemove,
+                client_name(client), "proxy", key);
+  transport_->index_update(
+      client, is_add, key,
+      index_update_mac(clients_[client].mac_key, client, is_add, key));
 }
 
 std::optional<Document> BapsSystem::serve_peer_fetch(ClientId holder,
@@ -148,9 +145,7 @@ void BapsSystem::emit_fetch(ClientId client, DocStore::Key key,
 void BapsSystem::client_store(ClientId client, const Url& url, Document doc) {
   const DocStore::Key key = url_key(url);
   if (clients_[client].browser->put(key, std::move(doc))) {
-    trace_.record(MsgKind::kIndexAdd, client_name(client), "proxy", key);
-    transport_->index_update(client, /*is_add=*/true, key,
-                             index_update_mac(client, true, key));
+    announce(client, /*is_add=*/true, key);
   }
 }
 
@@ -181,9 +176,7 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
     }
     ++tamper_detections_;
     clients_[client].browser->erase(key);
-    trace_.record(MsgKind::kIndexRemove, client_name(client), "proxy", key);
-    transport_->index_update(client, /*is_add=*/false, key,
-                             index_update_mac(client, false, key));
+    announce(client, /*is_add=*/false, key);
   }
 
   trace_.record(MsgKind::kClientRequest, client_name(client), "proxy", key);
@@ -290,9 +283,7 @@ void BapsSystem::depart_client(ClientId client, bool polite) {
     // Clean shutdown: the browser tells the proxy about every copy it is
     // about to lose, so no stale entries remain.
     for (const DocStore::Key key : state.browser->keys()) {
-      trace_.record(MsgKind::kIndexRemove, client_name(client), "proxy", key);
-      transport_->index_update(client, /*is_add=*/false, key,
-                               index_update_mac(client, false, key));
+      announce(client, /*is_add=*/false, key);
     }
   }
   // Crash semantics otherwise: the cache empties with no invalidations, and
@@ -321,9 +312,7 @@ void BapsSystem::restart_proxy() {
   for (ClientId c = 0; c < params_.num_clients; ++c) {
     if (clients_[c].departed) continue;
     for (const DocStore::Key key : clients_[c].browser->keys()) {
-      trace_.record(MsgKind::kIndexAdd, client_name(c), "proxy", key);
-      transport_->index_update(c, /*is_add=*/true, key,
-                               index_update_mac(c, true, key));
+      announce(c, /*is_add=*/true, key);
     }
   }
 }
@@ -340,8 +329,9 @@ bool BapsSystem::spoof_index_remove(ClientId attacker, ClientId victim,
   const DocStore::Key key = url_key(url);
   // The attacker claims to be the victim but can only MAC with its own key.
   trace_.record(MsgKind::kIndexRemove, client_name(attacker), "proxy", key);
-  return transport_->index_update(victim, /*is_add=*/false, key,
-                                  index_update_mac(attacker, false, key));
+  return transport_->index_update(
+      victim, /*is_add=*/false, key,
+      index_update_mac(clients_[attacker].mac_key, attacker, false, key));
 }
 
 void BapsSystem::drop_silently(ClientId client, const Url& url) {

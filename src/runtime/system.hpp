@@ -165,9 +165,9 @@ class BapsSystem : private PeerHost {
   /// Emits the per-browse "fetch" event (no-op without a sink).
   void emit_fetch(ClientId client, DocStore::Key key, const FetchOutcome& out,
                   bool false_forward);
-  /// MAC over an index update: HMAC(key_of(sender), op | sender | url key).
-  crypto::Md5Digest index_update_mac(ClientId sender, bool is_add,
-                                     DocStore::Key key) const;
+  /// Tells the proxy that `client`'s browser cache gained (is_add) or lost
+  /// `key`: records the envelope and sends the MAC'd index update.
+  void announce(ClientId client, bool is_add, DocStore::Key key);
   void client_store(ClientId client, const Url& url, Document doc);
 
   Params params_;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/md5.hpp"
@@ -46,6 +47,12 @@ std::string source_name(FetchOutcome::Source source);
 /// with the same seed agree without any key exchange on the wire.
 std::vector<std::string> derive_client_mac_keys(std::uint64_t seed,
                                                 std::uint32_t num_clients);
+
+/// MAC on an index update: HMAC(mac_key, op | sender | url key), with the
+/// message "add:<sender>:<key>" or "remove:<sender>:<key>". Clients sign
+/// with their own key; the proxy recomputes it under the claimed sender's.
+crypto::Md5Digest index_update_mac(std::string_view mac_key, ClientId sender,
+                                   bool is_add, std::uint64_t key);
 
 /// Every protocol message kind that crosses the simulated wire.
 enum class MsgKind {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "obs/timeseries.hpp"
 #include "runtime/proxy_server.hpp"
 #include "runtime/system.hpp"
 #include "runtime/tcp_transport.hpp"
@@ -154,9 +156,20 @@ TEST(TraceStitchTest, OneTraceSpansClientProxyAndHolder) {
   server.stop();
 }
 
+/// The counter's delta in a timeseries interval record (nullopt if absent).
+std::optional<std::uint64_t> counter_delta(const obs::JsonValue& interval,
+                                           const std::string& name) {
+  for (const obs::JsonValue& c : interval.at("counters").as_array()) {
+    if (c.at("name").as_string() == name) return c.at("delta").as_uint();
+  }
+  return std::nullopt;
+}
+
 TEST(TraceStitchTest, LiveStatsSnapshotServedFromRunningDaemon) {
   obs::Registry proxy_reg;
   obs::Tracer proxy_tracer(tracer_params(1.0, "proxyd"), &proxy_reg);
+  // Paced by hand (never started), and outlives the server that serves it.
+  obs::TimeSeriesSampler sampler(obs::TimeSeriesSampler::Params{});
 
   BapsSystem::Params params;
   params.num_clients = 2;
@@ -165,6 +178,7 @@ TEST(TraceStitchTest, LiveStatsSnapshotServedFromRunningDaemon) {
   ProxyServer server(proxy_params(params.num_clients,
                                   params.proxy_cache_bytes));
   server.set_tracer(&proxy_tracer);
+  server.set_sampler(&sampler);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -179,9 +193,10 @@ TEST(TraceStitchTest, LiveStatsSnapshotServedFromRunningDaemon) {
   obs::Tracer client_tracer(tracer_params(1.0, "client"), &client_reg);
   sys.set_tracer(&client_tracer);
 
+  sampler.sample_now();
   sys.browse(0, "http://stats.test/a");
   sys.browse(1, "http://stats.test/a");
-  server.capture_window_snapshot();
+  sampler.sample_now();
 
   const std::string json = transport.trace_stats(/*max_spans=*/16);
   ASSERT_FALSE(json.empty());
@@ -190,9 +205,14 @@ TEST(TraceStitchTest, LiveStatsSnapshotServedFromRunningDaemon) {
   ASSERT_TRUE(doc->is_object());
   EXPECT_EQ(doc->at("schema").as_string(), "baps.trace_stats.v1");
   // Live introspection: the registry section with derived quantile gauges,
-  // the rolling window, and the tracer's own counters.
+  // the sampler's latest interval, and the tracer's own counters.
   ASSERT_NE(doc->find("registry"), nullptr);
-  ASSERT_NE(doc->find("window"), nullptr);
+  const obs::JsonValue* window = doc->find("window");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->at("schema").as_string(), obs::kTimeSeriesWindowSchema);
+  const obs::JsonArray& intervals = window->at("intervals").as_array();
+  ASSERT_EQ(intervals.size(), 1u);
+  EXPECT_EQ(counter_delta(intervals[0], "proxy_fetch_requests_total"), 2u);
   const obs::JsonValue* recorded = doc->find("spans_recorded");
   ASSERT_NE(recorded, nullptr);
   EXPECT_GT(recorded->as_uint(), 0u);
@@ -202,6 +222,34 @@ TEST(TraceStitchTest, LiveStatsSnapshotServedFromRunningDaemon) {
   EXPECT_FALSE(spans->as_array().empty());
   EXPECT_LE(spans->as_array().size(), 16u);
   ASSERT_NE(doc->find("slow_traces"), nullptr);
+  server.stop();
+}
+
+TEST(TraceStitchTest, WithoutSamplerBothFramesServeTheEmptyWindow) {
+  BapsSystem::Params params;
+  params.num_clients = 2;
+  params.seed = kSeed;
+
+  ProxyServer server(proxy_params(params.num_clients,
+                                  params.proxy_cache_bytes));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  TcpTransport::Params tp;
+  tp.proxy_port = server.port();
+  TcpTransport transport(tp);
+  BapsSystem sys(params, transport);
+  sys.browse(0, "http://nosampler.test/a");
+
+  const auto stats = obs::json_parse(transport.trace_stats(4), &error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  const auto series = obs::json_parse(transport.time_series(0), &error);
+  ASSERT_TRUE(series.has_value()) << error;
+  const obs::JsonValue* window = stats->find("window");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->dump(), series->dump());
+  EXPECT_EQ(series->at("schema").as_string(), obs::kTimeSeriesWindowSchema);
+  EXPECT_TRUE(series->at("intervals").as_array().empty());
   server.stop();
 }
 

@@ -237,6 +237,22 @@ TEST(IndexAuthTest, SelfRemovalWithOwnKeyIsAccepted) {
   EXPECT_FALSE(sys.browser_index().holds(1, url_key(url)));
 }
 
+TEST(IndexAuthTest, UpdateMacMatchesPinnedGoldens) {
+  // Pinned: a client and a proxy built from different versions must still
+  // agree, so the MAC'd message format may never drift.
+  const auto keys = derive_client_mac_keys(/*seed=*/11, /*num_clients=*/4);
+  const std::uint64_t key = url_key("http://golden.test/a");
+  EXPECT_EQ(index_update_mac(keys[3], 3, /*is_add=*/true, key).hex(),
+            "de075afdb4e5064ef2fd0afbb4e08280");
+  EXPECT_EQ(index_update_mac(keys[3], 3, /*is_add=*/false, key).hex(),
+            "2a0b467dfb8d95a90bebb118dc8ac411");
+  EXPECT_EQ(index_update_mac(keys[0], 0, /*is_add=*/true, 0).hex(),
+            "aa675c7489eed1902b1fd8e2e68a7926");
+  // The widest message (every digit of sender and key) still fits.
+  EXPECT_EQ(index_update_mac("k", 4294967295u, false, 18446744073709551615u),
+            crypto::hmac_md5("k", "remove:4294967295:18446744073709551615"));
+}
+
 TEST(SourceNameTest, AllSourcesNamed) {
   EXPECT_EQ(source_name(FetchOutcome::Source::kLocalBrowser), "local-browser");
   EXPECT_EQ(source_name(FetchOutcome::Source::kOrigin), "origin-server");

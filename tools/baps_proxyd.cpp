@@ -7,9 +7,11 @@
 // writes a baps.report.v1 JSON report with the final proxy counters and the
 // wire/netio metric registry.
 //
-// With --trace-sample the daemon traces its side of every sampled request
-// (span JSONL to --trace-out) and serves live introspection snapshots to
-// `baps_fetch --stats`.
+// A time-series sampler (every --ts-interval, default 1s) is the source of
+// its live rates: `baps_top` reads its interval ring and `baps_fetch --stats`
+// its latest interval; --ts-out also streams the intervals as JSONL. With
+// --trace-sample the daemon traces its side of every sampled request (span
+// JSONL to --trace-out) and adds the spans to `baps_fetch --stats`.
 //
 //   baps_proxyd --port 4160 --clients 8 --seed 7
 //   baps_proxyd --port 0 --max-seconds 30 --metrics-out proxyd.json
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   double trace_sample = 0.0;
   std::string trace_out;
-  double ts_interval = 0.0;
+  double ts_interval = 1.0;
   std::string ts_out;
 
   util::ArgParser parser("baps_proxyd",
@@ -88,11 +90,10 @@ int main(int argc, char** argv) {
       .option("--trace-out", &trace_out, "FILE",
               "write sampled spans as JSONL (requires --trace-sample)")
       .duration("--ts-interval", &ts_interval, "DUR",
-                "continuous time-series sampling interval, e.g. 1s / 250ms "
-                "(default 0: sampler off)")
+                "time-series sampling interval behind every live rate, "
+                "e.g. 1s / 250ms (default 1s; must be > 0)")
       .option("--ts-out", &ts_out, "FILE",
-              "write baps.timeseries.v1 interval records as JSONL "
-              "(requires --ts-interval)");
+              "write baps.timeseries.v1 interval records as JSONL");
 
   std::string error;
   if (!parser.parse(argc, argv, &error)) {
@@ -123,6 +124,10 @@ int main(int argc, char** argv) {
 
   if (trace_sample < 0.0 || trace_sample > 1.0) {
     std::cerr << "--trace-sample must be in [0, 1]\n";
+    return 2;
+  }
+  if (!(ts_interval > 0.0)) {
+    std::cerr << "--ts-interval must be > 0\n";
     return 2;
   }
 
@@ -156,34 +161,30 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Continuous telemetry: pre-register every documented metric family so the
+  // Continuous telemetry, the source of every live rate (TimeSeries and
+  // TraceStats frames): pre-register every documented metric family so the
   // very first interval already carries the full schema (instead of families
   // popping into existence as traffic touches them), then start the sampler
   // before serving so interval #0 is a clean pre-traffic baseline.
-  std::unique_ptr<obs::TimeSeriesSampler> sampler;
-  std::ofstream ts_stream;
-  if (ts_interval > 0.0) {
-    store::register_store_metric_families();
-    fault::register_fault_metric_families();
-    obs::register_trace_metric_families();
-    obs::TimeSeriesSampler::Params sp;
-    sp.interval_seconds = ts_interval;
-    sampler = std::make_unique<obs::TimeSeriesSampler>(sp);
-    if (!ts_out.empty()) {
-      ts_stream.open(ts_out);
-      if (!ts_stream) {
-        std::cerr << "cannot open " << ts_out << "\n";
-        return 1;
-      }
-      sampler->set_sink(&ts_stream);
+  store::register_store_metric_families();
+  fault::register_fault_metric_families();
+  obs::register_trace_metric_families();
+  std::ofstream ts_stream;  // declared first: the sampler's final tick
+                            // may write to it from its destructor
+  obs::TimeSeriesSampler::Params sp;
+  sp.interval_seconds = ts_interval;
+  obs::TimeSeriesSampler sampler(sp);
+  if (!ts_out.empty()) {
+    ts_stream.open(ts_out);
+    if (!ts_stream) {
+      std::cerr << "cannot open " << ts_out << "\n";
+      return 1;
     }
-    server.set_sampler(sampler.get());
-  } else if (!ts_out.empty()) {
-    std::cerr << "--ts-out requires --ts-interval > 0\n";
-    return 2;
+    sampler.set_sink(&ts_stream);
   }
+  server.set_sampler(&sampler);
 
-  if (sampler != nullptr) sampler->start();
+  sampler.start();
   if (!server.start(&error)) {
     std::cerr << "cannot start proxy: " << error << "\n";
     return 1;
@@ -198,23 +199,16 @@ int main(int argc, char** argv) {
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(max_seconds);
-  // Roughly one registry snapshot per second feeds the rolling window that
-  // STATS responses compute rates from; ten poll ticks ≈ one capture.
-  int ticks_until_capture = 0;
   while (!g_stop.load()) {
     if (max_seconds != 0 && std::chrono::steady_clock::now() >= deadline) {
       break;
-    }
-    if (--ticks_until_capture <= 0) {
-      server.capture_window_snapshot();
-      ticks_until_capture = 10;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   server.stop();
   // Stopped after the server so no session can touch a dead sampler and the
   // final flush tick captures the post-shutdown counter state.
-  if (sampler != nullptr) sampler->stop();
+  sampler.stop();
   if (span_sink != nullptr) span_sink->flush();
 
   const runtime::ProxyStats stats = server.core().stats();
