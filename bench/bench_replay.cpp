@@ -42,9 +42,9 @@
 // byte-compares the merged sharded metrics against the unsharded engine
 // (N=1 on the pressured config; N=1 and N=4 on an eviction-free config,
 // where doc partitioning must be EXACT) and exits nonzero on any mismatch.
-// Note --threads does not exist here: sweep threads parallelize across
-// independent simulations in the figure benches, while this harness times
-// single replays — use --shards for parallelism inside a replay.
+// Parallelism inside a replay is --shards. The figure benches' --threads
+// runs independent sweep points in parallel; this harness times one replay
+// at a time, so it has no such option.
 #include <algorithm>
 #include <fstream>
 #include <memory>
@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
   double overhead_guard = 0.0;
   std::string shards_csv;
   bool shard_differential = false;
-  std::string threads_str;
   std::string store_dir;
   std::uint64_t store_capacity = 16 << 20;
   std::uint64_t store_ram = 256 << 10;
@@ -123,8 +122,6 @@ int main(int argc, char** argv) {
       .flag("--shard-differential", &shard_differential,
             "verify sharded merged metrics match the unsharded engine "
             "byte-for-byte, exit nonzero on mismatch")
-      .option("--threads", &threads_str, "N",
-              "rejected: this harness times single replays; use --shards")
       .option("--store-dir", &store_dir, "DIR",
               "also replay through the runtime disk tier rooted at DIR")
       .bytes("--store-capacity", &store_capacity, "BYTES",
@@ -160,12 +157,6 @@ int main(int argc, char** argv) {
   }
   if (args.churn_rate < 0.0 || args.churn_rate > 1.0) {
     std::cerr << "--churn-rate must be in [0,1]\n";
-    return 2;
-  }
-  if (!threads_str.empty()) {
-    std::cerr << "--threads parallelizes independent sweep points in the "
-                 "figure benches; bench_replay times one replay at a time. "
-                 "Use --shards N[,N...] to parallelize inside a replay.\n";
     return 2;
   }
   std::vector<std::uint32_t> shard_list;

@@ -10,6 +10,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
+# Orphan-module guard: every src/ file must be reachable by #include from a
+# binary under tools/, bench/, examples/ or perfbench/ (no build needed).
+python3 scripts/check_orphans.py
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   ${BAPS_SANITIZE:+-DBAPS_SANITIZE="$BAPS_SANITIZE"}
 cmake --build "$BUILD_DIR" -j "$(nproc)"

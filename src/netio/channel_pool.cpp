@@ -6,6 +6,9 @@ namespace baps::netio {
 
 namespace {
 
+// Idle channels kept per host:port target; extras close on release.
+constexpr std::size_t kMaxIdlePerTarget = 4;
+
 struct PoolCounters {
   obs::Counter& reuse;
   obs::Counter& dial;
@@ -53,7 +56,7 @@ void ChannelPool::release(const std::string& host, std::uint16_t port,
   if (channel == nullptr || !channel->valid()) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto& bucket = idle_[key_of(host, port)];
-  if (bucket.size() >= params_.max_idle_per_target) {
+  if (bucket.size() >= kMaxIdlePerTarget) {
     PoolCounters::get().discard.inc();
     return;  // channel closes on destruction
   }

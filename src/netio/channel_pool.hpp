@@ -24,8 +24,6 @@ class ChannelPool {
   struct Params {
     Deadlines deadlines;
     std::uint64_t max_frame_payload = wire::kDefaultMaxPayload;
-    /// Idle channels kept per host:port target; extras close on release.
-    std::size_t max_idle_per_target = 4;
   };
 
   struct Acquired {
@@ -41,8 +39,8 @@ class ChannelPool {
   /// died while parked) or reported.
   Acquired acquire(const std::string& host, std::uint16_t port, NetError* err);
 
-  /// Parks a healthy channel for reuse; beyond max_idle_per_target the
-  /// channel is simply closed. Never park a channel after a failed or
+  /// Parks a healthy channel for reuse; beyond four idle channels per
+  /// host:port target the channel is simply closed. Never park a channel after a failed or
   /// half-finished exchange.
   void release(const std::string& host, std::uint16_t port,
                std::unique_ptr<FrameChannel> channel);

@@ -29,6 +29,13 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 // stuck fd table does not spin a core.
 constexpr std::uint64_t kAcceptParkMs = 50;
 
+// Listener accept queue length (the kernel caps it at somaxconn).
+constexpr int kListenBacklog = 1024;
+
+// Per-connection write-queue budget; above it the connection's inbound
+// processing pauses until the queue drains below half.
+constexpr std::size_t kMaxWriteQueueBytes = 4u << 20;
+
 struct EpollCounters {
   obs::Counter& wakeups;
   obs::Counter& accept_errors;
@@ -90,7 +97,7 @@ bool EpollFrameServer::Connection::enqueue(wire::FrameKind kind,
   const std::size_t size = out.bytes.size();
   wq_.push_back(std::move(out));
   wq_bytes_ += size;
-  if (!paused_ && wq_bytes_ > server_->params_.max_write_queue_bytes) {
+  if (!paused_ && wq_bytes_ > kMaxWriteQueueBytes) {
     // Backpressure: a peer that won't read its responses stops being read
     // from, instead of growing our queue without bound.
     paused_ = true;
@@ -126,7 +133,7 @@ bool EpollFrameServer::start(std::string* error) {
   BAPS_REQUIRE(!running_.load(), "server already started");
   NetError err;
   auto listener =
-      TcpListener::listen(params_.host, params_.port, params_.backlog, &err);
+      TcpListener::listen(params_.host, params_.port, kListenBacklog, &err);
   if (!listener.has_value()) {
     if (error != nullptr) *error = err.message;
     return false;
@@ -466,7 +473,7 @@ void EpollFrameServer::flush_writes(Connection& c) {
     close_conn(c);
     return;
   }
-  if (c.paused_ && c.wq_bytes_ <= params_.max_write_queue_bytes / 2) {
+  if (c.paused_ && c.wq_bytes_ <= kMaxWriteQueueBytes / 2) {
     c.paused_ = false;
     process_frames(c, now_ms());
     if (!c.closed_ && !c.paused_ && c.read_pending_) {

@@ -10,10 +10,11 @@
 // connection owns a growing read buffer decoded incrementally with
 // wire::decode_frame (kNeedMore ⇒ wait for the next edge, so partial
 // frames resume exactly where they left off) and a bounded write queue
-// flushed until EAGAIN (queue over budget ⇒ inbound processing pauses —
-// true backpressure, not unbounded buffering). Idle connections expire
-// via a hashed timer wheel. stop() drains gracefully: accepting stops,
-// queued writes flush within drain_timeout_ms, stragglers are cut.
+// flushed until EAGAIN (queue over its fixed 4 MiB budget ⇒ inbound
+// processing pauses — true backpressure, not unbounded buffering). Idle
+// connections expire via a hashed timer wheel. stop() drains gracefully:
+// accepting stops, queued writes flush within drain_timeout_ms, stragglers
+// are cut.
 //
 // The handler seam is per-frame, not per-session: the loop calls the
 // handler once per fully-decoded inbound frame, and the handler replies
@@ -48,11 +49,7 @@ class EpollFrameServer {
   struct Params {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 → ephemeral
-    int backlog = 1024;
     std::uint64_t max_frame_payload = wire::kDefaultMaxPayload;
-    /// Per-connection write-queue budget; above it the connection's inbound
-    /// processing pauses until the queue drains below half.
-    std::size_t max_write_queue_bytes = 4u << 20;
     /// Close connections silent for this long; 0 (the default) disables it,
     /// so sessions end only when the peer goes away.
     int idle_timeout_ms = 0;

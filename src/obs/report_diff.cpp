@@ -10,6 +10,10 @@ namespace {
 
 enum class DocKind { kReport, kHotpath, kUnknown };
 
+// Gauge families compared in report-vs-report mode.
+constexpr const char* kReportMetricNames[] = {
+    "replay_requests_per_second", "store_replay_requests_per_second"};
+
 DocKind doc_kind(const JsonValue& doc) {
   const JsonValue* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string()) return DocKind::kUnknown;
@@ -161,7 +165,7 @@ ReportDiffResult diff_reports(const JsonValue& baseline,
 
   if (base_kind == DocKind::kReport && cur_kind == DocKind::kReport) {
     // Same-machine A/B: absolute values compare directly.
-    for (const std::string& metric : options.metric_names) {
+    for (const std::string metric : kReportMetricNames) {
       const double tol = tolerance_for(options, metric, /*mode_default=*/20.0);
       auto base = report_gauges(baseline, metric);
       auto cur = report_gauges(current, metric);

@@ -39,10 +39,6 @@ struct ReportDiffOptions {
   /// Per-metric-name overrides of tolerance_pct.
   std::map<std::string, double> metric_tolerances;
 
-  /// Gauge families compared in report-vs-report mode.
-  std::vector<std::string> metric_names = {"replay_requests_per_second",
-                                           "store_replay_requests_per_second"};
-
   /// Self-test hook: scales every current-side value down by this percent
   /// (after normalization in hotpath mode, so the seeded regression cannot
   /// cancel out) to prove the gate actually fails when throughput drops.

@@ -23,9 +23,8 @@ obs::Histogram& request_hist(const std::string& op) {
 ProxyServer::ProxyServer(const Params& params)
     : params_(params),
       core_(params.core),
-      peer_pool_(netio::ChannelPool::Params{
-          params.peer_deadlines, params.net.max_frame_payload,
-          params.peer_pool_idle}),
+      peer_pool_(netio::ChannelPool::Params{params.peer_deadlines,
+                                            params.net.max_frame_payload}),
       server_(params.net, [this](netio::EpollFrameServer::Connection& conn,
                                  wire::Frame&& frame) {
         auto state = std::static_pointer_cast<Session>(conn.state());

@@ -32,8 +32,8 @@ class ProxyServer {
  public:
   struct Params {
     ProxyCore::Params core;
-    /// Listener and event loop: host/port, frame limit, idle timeout, write
-    /// budget, drain, connection ceiling. Peer fetches dial holders on
+    /// Listener and event loop: host/port, frame limit, idle timeout, drain,
+    /// connection ceiling. Peer fetches dial holders on
     /// `net.host` with the same frame limit.
     netio::EpollFrameServer::Params net;
     /// Deadlines for outbound peer fetches — kept short so a dead holder
@@ -43,8 +43,6 @@ class ProxyServer {
     /// The benchmark's fetch rig still assigns it; the next change to the
     /// benchmark deletes that assignment, and then this field.
     bool event_driven = true;
-    /// Idle peer-fetch connections kept per holder.
-    std::size_t peer_pool_idle = 4;
   };
 
   explicit ProxyServer(const Params& params);

@@ -1,8 +1,9 @@
 // The epoll frame server against real sockets: echo semantics, partial-frame
 // resume (bytes dribbled across many writes decode to the same frames), write
-// backpressure bounds, idle-timeout reaping, graceful drain, per-connection
-// handler state, a concurrent many-connection sweep, malformed-frame drops,
-// bind failures, and fd-recycling churn under stop().
+// backpressure past the 4 MiB queue budget (pause, then resume in order),
+// idle-timeout reaping, graceful drain, per-connection handler state, a
+// concurrent many-connection sweep, malformed-frame drops, bind failures,
+// and fd-recycling churn under stop().
 #include "netio/epoll_server.hpp"
 
 #include <gtest/gtest.h>
@@ -245,6 +246,66 @@ TEST(EpollFrameServerTest, StopDrainsQueuedWritesBeforeClosing) {
   ASSERT_TRUE(frame.has_value()) << err.message;
   EXPECT_EQ(frame->payload.size(), big.size());
   EXPECT_FALSE(server.running());
+}
+
+TEST(EpollFrameServerTest, WriteQueueBackpressurePausesAndResumes) {
+  // 24 requests land in one write while the client reads nothing. Their 1 MiB
+  // replies outgrow the kernel's socket buffers plus the server's 4 MiB
+  // write-queue budget, so the connection must pause inbound processing
+  // with requests still buffered, and resume them once the client reads.
+  constexpr int kRequests = 24;
+  const auto reply_for = [](int i) {
+    std::string reply = "reply-" + std::to_string(i) + ":";
+    reply.resize(1u << 20, static_cast<char>('a' + i % 26));
+    return reply;
+  };
+  const auto stalls = [] {
+    std::uint64_t total = 0;
+    for (const auto& inst : obs::Registry::global().snapshot().counters) {
+      if (inst.name == "netio_epoll_writeq_stall_total") total += inst.value;
+    }
+    return total;
+  };
+  const std::uint64_t stalls_before = stalls();
+
+  std::atomic<int> handled{0};
+  EpollFrameServer server(
+      fast_params(), [&](EpollFrameServer::Connection& conn, wire::Frame&& f) {
+        const int i = std::stoi(f.payload);
+        handled.fetch_add(1);
+        return conn.send(wire::FrameKind::kFetchResponse, reply_for(i));
+      });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  NetError err;
+  auto conn = TcpConnection::connect("127.0.0.1", server.port(), 2000, &err);
+  ASSERT_TRUE(conn.has_value()) << err.message;
+  std::string bytes;
+  for (int i = 0; i < kRequests; ++i) {
+    bytes += wire::encode_frame(wire::FrameKind::kFetchRequest,
+                                std::to_string(i));
+  }
+  ASSERT_TRUE(conn->write_all(bytes.data(), bytes.size(), 2000, &err));
+
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (stalls() == stalls_before && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(stalls(), stalls_before + 1);
+  // Paused for good while nothing reads: the kernel cannot absorb the rest.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(handled.load(), kRequests);
+
+  FrameChannel channel(std::move(*conn), Deadlines{2000, 5000, 5000});
+  for (int i = 0; i < kRequests; ++i) {
+    const auto frame = channel.recv(&err);
+    ASSERT_TRUE(frame.has_value()) << "reply " << i << ": " << err.message;
+    EXPECT_EQ(frame->kind, wire::FrameKind::kFetchResponse);
+    EXPECT_TRUE(frame->payload == reply_for(i)) << "reply " << i << " garbled";
+  }
+  EXPECT_EQ(handled.load(), kRequests);
+  server.stop();
 }
 
 TEST(EpollFrameServerTest, ManyConcurrentConnectionsAllEcho) {
